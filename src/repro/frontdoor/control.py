@@ -296,6 +296,7 @@ class ControlPlane:
         if family not in self.fleet.families:
             return Response(404, {"error": f"unknown family {family!r}"})
         timeout = body.get("timeout_ms")
+        heartbeat = body.get("heartbeat_every_ms")
         policy = body.get("resilience")
         if policy is not None and not isinstance(policy, ResiliencePolicy):
             policy = ResiliencePolicy(**policy)
@@ -305,6 +306,8 @@ class ControlPlane:
             arrival_rps=float(body.get("arrival_rps", 100.0)),
             clone_factor=int(body.get("clone_factor", 1)),
             timeout_ms=None if timeout is None else float(timeout),
+            heartbeat_every_ms=(None if heartbeat is None
+                                else float(heartbeat)),
             resilience=policy,
             report_segments=int(body.get("report_segments", 0)),
             label=str(body.get("label", "")))

@@ -35,9 +35,28 @@ server's exact per-advance share history against the copy (see
 byte-identical to the sequential per-job-decrement formulation the
 equivalence suite keeps as an oracle.
 
+One merge loop drives every run, plain or composed. Periodics
+(heartbeats, the autoscaler), request timeouts and retries are events
+on an :class:`~repro.sim.engine.Engine` bound to the fleet clock;
+arrivals come from a pre-generated array and departures from a heap of
+per-server hints. The three sources merge in one ``(time, seq)`` order,
+every seq drawn from the engine's counter:
+
+1. the next arrival draws its seq right after the previous arrival is
+   admitted, with its time clamped to the clock at that moment
+   (``max(arrival, now)``: a periodic's control-plane work may have
+   charged the clock past it);
+2. on equal times an engine event beats a hint, and an arrival against
+   either compares by seq;
+3. a popped hint that was only a lower bound is recomputed exactly; if
+   the exact time differs it is re-pushed with a fresh seq, its time
+   floored at the popped bound — not at the clock.
+
+The equivalence suite pins this order byte for byte; flooring at the
+clock in rule 3, or re-pushing with the hint's old seq, each break a pin.
+
 Determinism: arrivals, demands and routing each draw from their own
-forked RNG stream keyed by (family, shape, label), all events run on
-one :class:`~repro.sim.engine.Engine` bound to the fleet clock, and the
+forked RNG stream keyed by (family, shape, label), and the
 :class:`~repro.frontdoor.results.DispatchResult` fingerprint covers the
 full per-request latency series — same seed, same bytes.
 """
@@ -47,8 +66,8 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import math
 from array import array
-from functools import partial
 from typing import TYPE_CHECKING, Any
 
 from repro.apps.traffic import RequestShape, as_shape
@@ -164,9 +183,9 @@ class ReplicaServer:
     """
 
     __slots__ = ("host", "domid", "rate", "jobs", "last_ms",
-                 "work_done_ms", "departure_event", "depart_cb", "alive",
-                 "draining", "vclock", "hint_seq", "_hist", "_hist_base",
-                 "_heap", "_heap_dead", "_seq", "_compact_at")
+                 "work_done_ms", "alive", "draining", "vclock", "hint_seq",
+                 "_hist", "_hist_base", "_heap", "_heap_dead", "_seq",
+                 "_compact_at")
 
     def __init__(self, host: str, domid: int, now_ms: float) -> None:
         self.host = host
@@ -175,8 +194,6 @@ class ReplicaServer:
         self.jobs: list[_Copy] = []
         self.last_ms = now_ms
         self.work_done_ms = 0.0
-        self.departure_event = None
-        self.depart_cb = None
         self.alive = True
         #: Host is DRAINING (mid-migration): resilient routing avoids
         #: it unless it is the only capacity left.
@@ -548,18 +565,19 @@ class FrontDoor:
         #: The in-progress ``run_workload`` bookkeeping (None between runs).
         self._run: _Run | None = None
         self._hist = None
-        #: Fast-path departure-hint heap of ``(when, seq, token, exact,
-        #: server)`` (None outside a fast-path run — slow/interleaved
-        #: runs keep departures as engine events). Each server owns one
-        #: *live* hint: every state-changing push bumps its
-        #: ``hint_seq`` token, superseding earlier entries, which then
-        #: drop for free at peek. A live entry's ``when`` is a valid
-        #: lower bound on the server's next departure; ``exact`` marks
-        #: bounds already settled by ``next_departure_ms`` — those fire
-        #: directly, while a popped bound converts with exactly one
-        #: exact recompute.
-        self._dep_heap: list | None = None
-        self._dep_seq = 0
+        #: Departure-hint heap of ``(when, seq, token, exact, server)``,
+        #: the dispatch loop's third event source next to the arrival
+        #: array and the engine queue. ``seq`` comes from the engine's
+        #: counter, so hints, arrivals and engine events share one
+        #: ``(time, seq)`` order. Each server owns one *live* hint:
+        #: every state-changing push bumps its ``hint_seq`` token,
+        #: superseding earlier entries, which then drop for free at
+        #: peek. A live entry's ``when`` is a valid lower bound on the
+        #: server's next departure; ``exact`` marks times already
+        #: settled by ``next_departure_ms`` — those fire directly, while
+        #: a popped bound converts with exactly one exact recompute.
+        self._dep_heap: list[tuple] = []
+        self._next_seq = self.engine.next_seq
         self.stats: dict[str, Any] = {
             "requests": 0,
             "completed": 0,
@@ -636,9 +654,6 @@ class FrontDoor:
         server.advance(now_ms)
         server.alive = False
         self.retired_work_ms += server.work_done_ms
-        if server.departure_event is not None:
-            server.departure_event.cancel()
-            server.departure_event = None
         self.stats["servers_retired"] += 1
         vclock = server.vclock
         for copy in list(server.jobs):
@@ -680,8 +695,15 @@ class FrontDoor:
             raise FrontDoorError(f"non-positive request count: {requests}")
         if clone_factor < 1:
             raise FrontDoorError(f"non-positive clone factor: {clone_factor}")
+        if not math.isfinite(arrival_rps):
+            raise FrontDoorError(f"non-finite arrival rate: {arrival_rps}")
         if arrival_rps <= 0:
             raise FrontDoorError(f"non-positive arrival rate: {arrival_rps}")
+        for name, value in (("timeout_ms", timeout_ms),
+                            ("heartbeat_every_ms", heartbeat_every_ms)):
+            if value is not None and not (0 < value < math.inf):
+                raise FrontDoorError(
+                    f"{name} must be positive and finite: {value}")
         if report_segments < 0:
             raise FrontDoorError(f"negative report_segments: {report_segments}")
         pool = self.refresh(family)
@@ -748,111 +770,81 @@ class FrontDoor:
             periodic.append(self.engine.every(
                 autoscale.check_interval_ms, check_scale))
 
-        # Drive until every request resolved, bounded by a drain guard.
+        # Merge the arrival array, the engine queue (periodics,
+        # timeouts, retries) and the departure-hint heap in the
+        # (time, seq) order the module docstring states, until every
+        # request resolved, bounded by a drain guard.
+        engine = self.engine
+        peek = engine.peek
+        step = engine.step
+        next_seq = self._next_seq
+        clock = self.fleet.clock
+        admit = self._admit
+        depart = self._depart
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        dep = self._dep_heap
+        dep.clear()
         guard = 60 * requests + 100_000
         steps = 0
-        if not periodic:
-            # Fast path: no periodic events means nothing else charges
-            # the fleet clock mid-run, so arrival times never need the
-            # max(t, now) clamp. Three event sources merge directly:
-            # the pre-generated arrival array, the engine queue (only
-            # request timeouts live there now) and the departure-hint
-            # heap. Arrival wins ties; engine beats hints on ties.
-            engine = self.engine
-            next_time = engine.next_time
-            step = engine.step
-            clock = self.fleet.clock
-            admit = self._admit
-            depart = self._depart
-            heappop = heapq.heappop
-            heappush = heapq.heappush
-            self._dep_heap = dep = []
-            self._dep_seq = 0
-            rid = 0
-            try:
-                while run.resolved < requests:
-                    # Earliest live departure hint (dead servers and
-                    # drained hints are dropped on the way).
-                    while dep:
-                        head = dep[0]
-                        hint_server = head[4]
-                        if (head[2] == hint_server.hint_seq
-                                and hint_server.jobs
-                                and hint_server.alive):
-                            break
-                        heappop(dep)
-                    t_dep = dep[0][0] if dep else None
-                    t_engine = next_time()
-                    if t_engine is not None and (t_dep is None
-                                                 or t_engine <= t_dep):
-                        t_next_ev = t_engine
-                        src_engine = True
-                    else:
-                        t_next_ev = t_dep
-                        src_engine = False
-                    if rid < requests and (t_next_ev is None
-                                           or arrivals[rid] <= t_next_ev):
-                        t_arrive = arrivals[rid]
-                        if t_arrive > clock._now:
-                            clock._now = t_arrive
-                        admit(run, rid, demands[rid], family, clone_factor,
-                              route_rng, timeout_ms)
-                        rid += 1
-                    elif src_engine:
-                        step()
-                    elif t_next_ev is not None:
-                        when, _seq, token, exact, server = heappop(dep)
-                        if not exact:
-                            # A live bound: the server saw no admits or
-                            # removals since the push, so one exact
-                            # recompute settles its true departure. If
-                            # the bound was already tight, fire now;
-                            # otherwise convert it to an exact hint and
-                            # let the heap re-order it.
-                            true_when = server.next_departure_ms()
-                            if true_when != when:
-                                if true_when < clock._now:
-                                    true_when = clock._now
-                                server.hint_seq = ntoken = token + 1
-                                self._dep_seq = nseq = self._dep_seq + 1
-                                heappush(dep, (true_when, nseq, ntoken,
-                                               True, server))
-                                steps += 1
-                                continue
-                        if when > clock._now:
-                            clock._now = when
-                        depart(server)
-                    else:
-                        raise FrontDoorError(
-                            "dispatch engine drained with "
-                            f"{requests - run.resolved} unresolved "
-                            "requests")
-                    steps += 1
-                    if steps > guard:
-                        raise FrontDoorError(
-                            "dispatch failed to drain "
-                            f"(engine ran {steps} events)")
-            finally:
-                self._dep_heap = None
-        else:
-            # Slow path (heartbeats / autoscale interleaved): arrivals
-            # stay engine events so control-plane clock charges keep
-            # deferring them, but gaps and demands still come from the
-            # pre-generated arrays.
-            state = {"next_rid": 0}
-
-            def arrive() -> None:
-                rid = state["next_rid"]
-                state["next_rid"] = rid + 1
-                self._admit(run, rid, demands[rid], family, clone_factor,
-                            route_rng, timeout_ms)
-                if rid + 1 < requests:
-                    self.engine.schedule_at(
-                        max(arrivals[rid + 1], self.fleet.clock.now), arrive)
-
-            self.engine.schedule_at(arrivals[0], arrive)
+        rid = 0
+        t_arrive = arrivals[0]
+        s_arrive = next_seq()
+        try:
             while run.resolved < requests:
-                if not self.engine.step():
+                # Earliest live departure hint (dead servers and
+                # drained hints are dropped on the way).
+                while dep:
+                    head = dep[0]
+                    hint_server = head[4]
+                    if (head[2] == hint_server.hint_seq
+                            and hint_server.jobs
+                            and hint_server.alive):
+                        break
+                    heappop(dep)
+                nxt = peek()
+                src_engine = nxt is not None and (not dep
+                                                  or nxt[0] <= dep[0][0])
+                if not src_engine and dep:
+                    nxt = dep[0]
+                if rid < requests and (
+                        nxt is None or t_arrive < nxt[0]
+                        or (t_arrive == nxt[0] and s_arrive < nxt[1])):
+                    if t_arrive > clock._now:
+                        clock._now = t_arrive
+                    admit(run, rid, demands[rid], family, clone_factor,
+                          route_rng, timeout_ms)
+                    rid += 1
+                    if rid < requests:
+                        t_arrive = arrivals[rid]
+                        if t_arrive < clock._now:
+                            t_arrive = clock._now
+                        s_arrive = next_seq()
+                elif src_engine:
+                    step()
+                elif nxt is not None:
+                    when, _seq, token, exact, server = heappop(dep)
+                    if not exact:
+                        # A live bound: the server saw no admits or
+                        # removals since the push, so one exact
+                        # recompute settles its true departure. If the
+                        # bound was already tight, fire now; otherwise
+                        # re-push it as an exact hint with a fresh seq,
+                        # floored at the popped bound (not the clock,
+                        # which a periodic may have charged meanwhile).
+                        true_when = server.next_departure_ms()
+                        if true_when != when:
+                            if true_when < when:
+                                true_when = when
+                            server.hint_seq = token = token + 1
+                            heappush(dep, (true_when, next_seq(), token,
+                                           True, server))
+                            steps += 1
+                            continue
+                    if when > clock._now:
+                        clock._now = when
+                    depart(server)
+                else:
                     raise FrontDoorError(
                         "dispatch engine drained with "
                         f"{requests - run.resolved} unresolved requests")
@@ -860,8 +852,10 @@ class FrontDoor:
                 if steps > guard:
                     raise FrontDoorError("dispatch failed to drain "
                                          f"(engine ran {steps} events)")
-        for handle in periodic:
-            handle.cancel()
+        finally:
+            dep.clear()
+            for handle in periodic:
+                handle.cancel()
         self._flush_run(run)
         self._run = None
         self._hist = None
@@ -971,6 +965,7 @@ class FrontDoor:
             return
         copies = request.copies
         dep = self._dep_heap
+        next_seq = self._next_seq
         heappush = heapq.heappush
         inj = self._inj
         stalled = 0
@@ -1013,25 +1008,21 @@ class FrontDoor:
             copy.job_idx = len(jobs)
             jobs.append(copy)
             heappush(server._heap, (vkey, cseq, copy))
-            if dep is not None:
-                # An admit never needs the exact departure time up
-                # front — except for an empty server, whose sole fresh
-                # job departs at exactly now + demand/rate: that hint
-                # is exact and fires without any recompute (the common
-                # case at light load). Busy servers get the cheap
-                # bound, converted to exact only when it pops.
-                server.hint_seq = token = server.hint_seq + 1
-                self._dep_seq = seq = self._dep_seq + 1
-                if len(jobs) == 1:
-                    heappush(dep, (now + demand_ms / server.rate, seq,
-                                   token, True, server))
-                else:
-                    bound = server.bound_departure_ms()
-                    if bound < now:
-                        bound = now
-                    heappush(dep, (bound, seq, token, False, server))
+            # An admit never needs the exact departure time up front —
+            # except for an empty server, whose sole fresh job departs
+            # at exactly now + demand/rate: that hint is exact and fires
+            # without any recompute (the common case at light load).
+            # Busy servers get the cheap bound, converted to exact only
+            # when it pops.
+            server.hint_seq = token = server.hint_seq + 1
+            if len(jobs) == 1:
+                heappush(dep, (now + demand_ms / server.rate, next_seq(),
+                               token, True, server))
             else:
-                self._reschedule(server, now)
+                bound = server.bound_departure_ms()
+                if bound < now:
+                    bound = now
+                heappush(dep, (bound, next_seq(), token, False, server))
         run.copies += len(placed)
         if res is not None:
             if stalled == len(placed):
@@ -1252,43 +1243,25 @@ class FrontDoor:
         run.failed += 1
         run.resolved += 1
 
-    def _reschedule(self, server: ReplicaServer,
-                    now: float | None = None) -> None:
-        dep = self._dep_heap
-        if dep is not None:
-            # Fast path: push a hint instead of an engine event. The
-            # fresh token supersedes every earlier hint the server has
-            # in the heap (they drop for free at pop time), so each
-            # server owns exactly one live hint. The hint is only a
-            # cheap lower bound — computing the exact departure here
-            # would replay share history that is almost always thrown
-            # away again before the hint pops.
-            if server.jobs:
-                bound = server.bound_departure_ms()
-                if now is not None and bound < now:
-                    bound = now
-                server.hint_seq = token = server.hint_seq + 1
-                self._dep_seq = seq = self._dep_seq + 1
-                heapq.heappush(dep, (bound, seq, token, False, server))
-            return
-        event = server.departure_event
-        if event is not None:
-            event.cancel()
+    def _reschedule(self, server: ReplicaServer, now: float) -> None:
+        """Push the server's departure hint after its job set changed.
+
+        The fresh token supersedes every earlier hint the server has in
+        the heap (they drop for free at pop time), so each server owns
+        exactly one live hint. The hint is only a cheap lower bound —
+        computing the exact departure here would replay share history
+        that is almost always thrown away again before the hint pops.
+        """
         if server.jobs:
-            callback = server.depart_cb
-            if callback is None:
-                callback = server.depart_cb = partial(self._depart, server)
-            when = server.next_departure_ms()
-            if now is None:
-                now = self.fleet.clock.now
-            server.departure_event = self.engine.schedule_at(
-                when if when >= now else now, callback)
-        else:
-            server.departure_event = None
+            bound = server.bound_departure_ms()
+            if bound < now:
+                bound = now
+            server.hint_seq = token = server.hint_seq + 1
+            heapq.heappush(self._dep_heap, (bound, self._next_seq(), token,
+                                            False, server))
 
     def _depart(self, server: ReplicaServer) -> None:
         """A replica's soonest job should now be done: complete winners."""
-        server.departure_event = None
         now = self.fleet.clock.now
         server.advance(now)
         for copy in server.finished_jobs():
@@ -1318,6 +1291,7 @@ class FrontDoor:
             self.stats["copies_won"] += 1
             self.stats["work_useful_ms"] += request.demand_ms
         dep = self._dep_heap
+        next_seq = self._next_seq
         heappush = heapq.heappush
         for copy in request.copies:
             if copy.state != _ACTIVE:
@@ -1347,16 +1321,12 @@ class FrontDoor:
             else:
                 self.stats["work_served_ms"] += consumed
                 self.stats["copies_cancelled"] += 1
-            if dep is not None:
-                if jobs:
-                    bound = server.bound_departure_ms()
-                    if bound < now_ms:
-                        bound = now_ms
-                    server.hint_seq = token = server.hint_seq + 1
-                    self._dep_seq = seq = self._dep_seq + 1
-                    heappush(dep, (bound, seq, token, False, server))
-            else:
-                self._reschedule(server, now_ms)
+            if jobs:
+                bound = server.bound_departure_ms()
+                if bound < now_ms:
+                    bound = now_ms
+                server.hint_seq = token = server.hint_seq + 1
+                heappush(dep, (bound, next_seq(), token, False, server))
         if request.timeout_event is not None:
             request.timeout_event.cancel()
             request.timeout_event = None
@@ -1383,8 +1353,8 @@ class FrontDoor:
         res = self._active_res
         # Timeout/departure tie: a copy whose service is already
         # complete at the expiry instant departs *first* — the request
-        # resolves completed, deterministically, on both the fast path
-        # and the engine path (pinned by the tie regression tests).
+        # resolves completed, deterministically, whether or not a
+        # periodic shares the queue (pinned by the tie regression tests).
         for copy in request.copies:
             if copy.state != _ACTIVE:
                 continue

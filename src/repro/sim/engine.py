@@ -53,6 +53,13 @@ class Engine:
         self.clock = clock if clock is not None else VirtualClock()
         self._queue: list[tuple[float, int, ScheduledEvent]] = []
         self._seq = itertools.count()
+        #: Draw the next sequence number from the counter every queued
+        #: event takes its tie-break from. An external driver merging
+        #: its own items with the queue (the front door's dispatch
+        #: loop) stamps them with these, so one ``(time, seq)`` order
+        #: covers both. Bound straight to the counter: as cheap as
+        #: ``next()``, no Python frame.
+        self.next_seq: Callable[[], int] = self._seq.__next__
         #: Cancelled events still sitting in the heap. When they come to
         #: outnumber the live ones the queue is rebuilt without them, so
         #: cancel-heavy workloads (periodic timers torn down en masse)
@@ -140,22 +147,22 @@ class Engine:
             self._cancelled = 0
             self.compactions += 1
 
-    def next_time(self) -> float | None:
-        """Time of the next live event, or None when the queue is empty.
+    def peek(self) -> tuple[float, int] | None:
+        """``(time, seq)`` of the next live event, or None when empty.
 
         Cancelled heads are popped on the way (the same lazy-deletion
         discipline :meth:`step` applies), so a subsequent :meth:`step`
-        dispatches exactly the event this peeked at. Lets an external
-        driver (the front door's dispatch fast path) merge its own
-        pre-generated arrival stream with the engine queue without
-        scheduling one event per arrival.
+        dispatches exactly the event this peeked at. With
+        :attr:`next_seq` it lets an external driver merge its own
+        pre-generated items with the queue without scheduling one event
+        per item.
         """
         queue = self._queue
         pop = heapq.heappop
         while queue:
             head = queue[0]
             if not head[2].cancelled:
-                return head[0]
+                return head[0], head[1]
             pop(queue)
             head[2]._enqueued = False
             self._cancelled -= 1

@@ -106,6 +106,30 @@ def test_dispatch_route_maps_errors(populated):
     assert "clone_factor" in response.body["error"]
 
 
+def _dispatch_error(populated, **fields):
+    response = populated.handle("POST", "/dispatch", {
+        "family": "web", "requests": 5, "arrival_rps": 10.0, **fields})
+    assert response.status == 400, response.body
+    return response.body["error"]
+
+
+@pytest.mark.parametrize("rps", [float("inf"), float("nan")])
+def test_dispatch_route_rejects_non_finite_arrival_rate(populated, rps):
+    assert "non-finite arrival rate" in _dispatch_error(
+        populated, arrival_rps=rps)
+
+
+@pytest.mark.parametrize("timeout", [-5.0, 0.0, float("inf"), float("nan")])
+def test_dispatch_route_rejects_bad_timeout(populated, timeout):
+    assert "timeout_ms" in _dispatch_error(populated, timeout_ms=timeout)
+
+
+@pytest.mark.parametrize("every", [-1.0, 0.0, float("inf"), float("nan")])
+def test_dispatch_route_rejects_bad_heartbeat(populated, every):
+    assert "heartbeat_every_ms" in _dispatch_error(
+        populated, heartbeat_every_ms=every)
+
+
 def test_method_mismatch_is_405_and_unknown_path_404(session):
     assert session.handle("PUT", "/hosts").status == 405
     assert session.handle("GET", "/dispatch").status == 405

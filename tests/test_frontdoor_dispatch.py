@@ -385,7 +385,8 @@ def test_timeout_departure_tie_departure_wins_fast_path(constant_draws):
 
 def test_timeout_departure_tie_departure_wins_engine_path(constant_draws):
     with _tie_session() as sess:
-        # A periodic heartbeat forces the event-engine slow path.
+        # A periodic heartbeat puts a control-plane event in the
+        # engine queue alongside the timeout.
         result = sess.dispatch("tie", "faas", requests=1,
                                arrival_rps=100.0, clone_factor=1,
                                timeout_ms=TIE_MS,
@@ -394,7 +395,7 @@ def test_timeout_departure_tie_departure_wins_engine_path(constant_draws):
         engine = sess.frontdoor.engine
         # The tie leaves nothing behind: no pending timeout event, no
         # cancelled husk leaked in the queue.
-        assert engine.next_time() is None
+        assert engine.peek() is None
         assert engine.cancelled_pending == 0
 
 
@@ -407,7 +408,7 @@ def test_mass_tie_resolves_every_request_without_leaks(constant_draws):
         assert result.completed + result.timed_out == 100
         assert result.completed == 100  # every tie resolves as a departure
         engine = sess.frontdoor.engine
-        assert engine.next_time() is None
+        assert engine.peek() is None
         assert engine.cancelled_pending == 0
         assert audit_fleet(sess.fleet, sess.frontdoor) == []
 

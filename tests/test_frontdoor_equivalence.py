@@ -15,9 +15,10 @@ that it does not:
   requires bit-equal departure times, remaining work, finished sets and
   work ledgers at every step;
 * end-to-end golden fingerprints captured from the old implementation
-  (plain runs, timeout runs, and composed host-kill + autoscale +
-  heartbeat runs) must still come out of the new code byte for byte,
-  with clean conservation ledgers.
+  (plain runs, timeout runs, composed host-kill + autoscale +
+  heartbeat runs, and resilient bursts dispatched across a host drain)
+  must still come out of the new code byte for byte, with clean
+  conservation ledgers.
 """
 
 import pytest
@@ -26,7 +27,12 @@ from hypothesis import strategies as st
 
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.fleet.chaos import audit_fleet
-from repro.frontdoor import AutoscalePolicy, FleetSession, ReplicaServer
+from repro.frontdoor import (
+    AutoscalePolicy,
+    FleetSession,
+    ReplicaServer,
+    ResiliencePolicy,
+)
 from repro.frontdoor.dispatch import EPS, _Copy, _Request
 
 
@@ -254,3 +260,51 @@ def test_composed_kill_runs_match_old_implementation(params):
                                                     kill_after)
     assert violations == []
     assert fingerprint == _COMPOSED_GOLDEN[params]
+
+
+#: Fingerprints of four resilient heartbeat + autoscale bursts on one
+#: fleet, the last dispatched while its origin host drains: captured
+#: from the two-scheduler dispatcher (arrivals and departures as engine
+#: events whenever a periodic was armed). Heartbeats and clone-outs
+#: charge the shared clock mid-run, past pending departure hints, so
+#: these pin how a late hint is re-ordered. The run labels pick RNG
+#: streams under which flooring a re-pushed hint at the clock instead
+#: of at its popped bound changes the drain burst's fingerprint.
+_DRAIN_GOLDEN = (
+    "69af2ef225a42ccfbfa3962a167fd312d65b3dd884f72bf4c549115290896bbe",
+    "4ab16276ed8281bd2d881d966b15f9ed56d53ee4824e48fb7a515d4aa6b08221",
+    "db3e06a302e77a2664477b119a9e5e8218904b927d9fe7ce1cecf6af585d3095",
+    "327cacc0a2f668e94d829e997bc09767d3537a5cb5054a5ec71d7820e1ef2115",
+)
+
+
+def test_bursts_across_a_drain_match_old_implementation():
+    policy = AutoscalePolicy(threshold_rps=150, check_interval_ms=200,
+                             max_replicas=12, scale_step=2)
+    fingerprints = []
+    with FleetSession(hosts=4, seed=0xC10E,
+                      resilience=ResiliencePolicy()) as sess:
+        for burst in range(4):
+            name = f"drain-{burst}"
+            placement = sess.create_family(name, ip=f"10.88.{burst}.1")
+            sess.clone(name, count=3)
+            drain = burst == 3
+            if drain:
+                sess.drain_host(placement.host)
+            result = sess.dispatch(name, "faas", requests=1000,
+                                   arrival_rps=1260.0, clone_factor=2,
+                                   heartbeat_every_ms=50.0, autoscale=policy,
+                                   label=f"drain:1:{burst}")
+            if drain:
+                for _ in range(400):
+                    family = sess.handle("GET", f"/families/{name}")
+                    if not family.body["migrating"]:
+                        break
+                    sess.fleet.tick()
+                else:
+                    pytest.fail("drain migration never finished")
+                sess.fleet.repair_host(placement.host)
+            assert audit_fleet(sess.fleet, sess.frontdoor) == []
+            sess.destroy_family(name)
+            fingerprints.append(result.fingerprint)
+    assert tuple(fingerprints) == _DRAIN_GOLDEN

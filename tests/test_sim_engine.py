@@ -234,3 +234,62 @@ def test_heap_stays_bounded_under_cancel_churn():
         event.cancel()
     engine.run()
     assert engine.pending == 0
+
+
+def test_peek_names_the_event_step_runs_next():
+    engine = Engine()
+    fired = []
+    for t_ms, tag in ((7.0, "c"), (3.0, "a"), (3.0, "b"), (9.0, "d")):
+        engine.schedule_at(t_ms, lambda tag=tag: fired.append(tag))
+    order = []
+    while True:
+        head = engine.peek()
+        if head is None:
+            break
+        order.append(head)
+        engine.step()
+        # The peeked time is the one step() moved the clock to.
+        assert engine.clock.now == head[0]
+    assert fired == ["a", "b", "c", "d"]
+    assert [t for t, _ in order] == [3.0, 3.0, 7.0, 9.0]
+    # Equal times break ties by seq, exactly as the queue does.
+    assert order[0][1] < order[1][1]
+    assert not engine.step()
+
+
+def test_peek_skips_cancelled_heads():
+    engine = Engine()
+    fired = []
+    dead = [engine.schedule_at(1.0 + i, lambda: fired.append("dead"))
+            for i in range(3)]
+    engine.schedule_at(10.0, lambda: fired.append("live"))
+    for event in dead:
+        event.cancel()
+    assert engine.cancelled_pending == 3
+    assert engine.peek()[0] == 10.0
+    # The dead heads were popped on the way, not just looked past.
+    assert engine.cancelled_pending == 0 and engine.pending == 1
+    assert engine.step() and fired == ["live"]
+    assert engine.peek() is None
+
+
+def test_drawn_seqs_interleave_with_scheduling_in_call_order():
+    engine = Engine()
+    engine.schedule_at(5.0, lambda: None)
+    drawn_a = engine.next_seq()
+    series = engine.every(5.0, lambda: None)
+    drawn_b = engine.next_seq()
+    engine.schedule_at(5.0, lambda: None)
+    # Three queued events at t=5 plus two external draws: one counter,
+    # so the seqs follow call order whatever drew them.
+    seqs = []
+    for _ in range(3):
+        t_ms, seq = engine.peek()
+        assert t_ms == 5.0
+        seqs.append(seq)
+        engine.step()
+    assert seqs[0] < drawn_a < seqs[1] < drawn_b < seqs[2]
+    # The periodic's re-arm at t=10 draws after everything above.
+    assert engine.peek() == (10.0, drawn_b + 2)
+    assert engine.next_seq() == drawn_b + 3
+    series.cancel()
