@@ -516,10 +516,7 @@ class CloneOp:
                                      snap.npages)
             restored.append(Segment(snap.pfn_start, snap.npages, snap.extent,
                                     snap.extent_offset, snap.label))
-        merged = survivors + restored
-        merged.sort(key=lambda s: s.pfn_start)
-        target.memory.segments = merged
-        target.memory._starts_cache = None
+        target.memory.replace_segments(survivors + restored)
 
         self.hypervisor.clock.charge(
             self.hypervisor.costs.hypercall_base

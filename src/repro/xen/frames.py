@@ -8,16 +8,20 @@ counter per sharing domain. A write to a shared page either copies it
 "adoption").
 
 For scalability the simulation tracks frames as *extents* (runs of pages
-with identical state) rather than one object per frame. Reference counts
-are stored as a per-extent base count plus a sparse per-page delta, so
-cloning a whole guest is O(#extents) while individual COW faults stay
-exact per page.
+with identical ownership) rather than one object per frame. Each
+extent stores its reference counts as a run map: a sorted list of run
+boundaries and one count per run, with :data:`DEAD` marking pages that
+were freed or adopted. Sharing a whole guest updates every run of each
+extent, and a range operation (a COW fault, a teardown) cuts runs at
+its bounds and touches only the runs inside, so no operation walks
+pages one at a time.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from repro.faults.injector import NULL_INJECTOR
@@ -60,6 +64,9 @@ PRIVATE_PAGE_TYPES = frozenset(
 
 _extent_ids = itertools.count(1)
 
+#: Run-map value of pages that were freed or adopted out of their extent.
+DEAD = -1
+
 
 @dataclass(slots=True)
 class Extent:
@@ -77,19 +84,25 @@ class Extent:
     #: §5.2.2: IDC pages move to dom_cow "just like for any shared
     #: page", but both ends keep writing to them).
     cow_protected: bool = True
-    #: Whole-extent reference count (number of domains mapping every page).
-    base_ref: int = 0
-    #: Sparse per-page adjustment to ``base_ref``.
-    ref_delta: dict[int, int] = field(default_factory=dict)
     #: Pages whose last reference was dropped and whose frame was freed.
     freed: int = 0
     #: Pages adopted by their sole remaining sharer (frame moved, not freed).
     adopted: int = 0
-    #: Pages no longer live in this extent (freed or adopted).
-    dead_pages: set[int] = field(default_factory=set)
     #: True once the extent was split; its pages live on in the parts.
     retired: bool = False
     extent_id: int = field(default_factory=lambda: next(_extent_ids))
+    #: The run map. Run ``k`` covers pages
+    #: ``[run_bounds[k], run_bounds[k + 1])`` and each of its pages has
+    #: reference count ``run_refs[k]`` (0 while private, :data:`DEAD`
+    #: once freed or adopted). ``run_bounds`` starts at 0 and ends at
+    #: ``count``; adjacent runs never hold the same value. Only
+    #: :class:`FrameTable` changes it.
+    run_bounds: list[int] = field(init=False)
+    run_refs: list[int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.run_bounds = [0, self.count]
+        self.run_refs = [0]
 
     @property
     def live_pages(self) -> int:
@@ -98,15 +111,53 @@ class Extent:
             return 0
         return self.count - self.freed - self.adopted
 
-    def effective_ref(self, index: int) -> int:
-        """Reference count of page ``index`` (extent-local)."""
+    def run_at(self, index: int) -> tuple[int, int]:
+        """``(ref, end)`` of the run holding page ``index`` (extent-local).
+
+        Every page in ``[index, end)`` has reference count ``ref``, or
+        ``ref`` is :data:`DEAD`; page ``end``, if any, holds another value.
+        """
         if not 0 <= index < self.count:
             raise XenInvalidError(f"page index {index} outside extent of {self.count}")
-        return self.base_ref + self.ref_delta.get(index, 0)
+        bounds = self.run_bounds
+        k = bisect_right(bounds, index) - 1
+        return self.run_refs[k], bounds[k + 1]
+
+    def effective_ref(self, index: int) -> int:
+        """Reference count of page ``index`` (extent-local).
+
+        A dead page (freed or adopted out of this extent) has count 0.
+        """
+        ref = self.run_at(index)[0]
+        return 0 if ref == DEAD else ref
 
     def is_dead(self, index: int) -> bool:
         """Was page ``index`` freed or adopted out of this extent?"""
-        return index in self.dead_pages
+        return self.run_at(index)[0] == DEAD
+
+    def _cut(self, pos: int) -> int:
+        """Make a run start at page ``pos``; return that run's index.
+
+        ``pos == count`` needs no cut and returns the number of runs.
+        """
+        bounds = self.run_bounds
+        k = bisect_right(bounds, pos) - 1
+        if bounds[k] != pos:
+            k += 1
+            bounds.insert(k, pos)
+            self.run_refs.insert(k, self.run_refs[k - 1])
+        return k
+
+    def _coalesce(self, lo: int, hi: int) -> None:
+        """Merge equal neighbours across the starts of runs ``lo..hi``."""
+        bounds = self.run_bounds
+        refs = self.run_refs
+        if hi == len(refs):
+            hi -= 1
+        for k in range(hi, max(lo, 1) - 1, -1):
+            if refs[k] == refs[k - 1]:
+                del refs[k]
+                del bounds[k]
 
     def __hash__(self) -> int:
         return self.extent_id
@@ -212,7 +263,8 @@ class FrameTable:
         self._debit(extent.owner, live)
         self.free_frames += live
         extent.freed = extent.count - extent.adopted
-        extent.dead_pages.update(range(extent.count))
+        extent.run_bounds = [0, extent.count]
+        extent.run_refs = [DEAD]
         self.stats["frees"] += live
         return live
 
@@ -222,8 +274,8 @@ class FrameTable:
     def share_to_cow(self, extent: Extent) -> None:
         """Transfer ownership of a private extent to dom_cow.
 
-        The previous owner keeps referencing every page (base_ref = 1);
-        clones are added with :meth:`add_sharer`.
+        The previous owner keeps referencing every live page (refcount
+        1); clones are added with :meth:`add_sharer`.
         """
         if extent.shared:
             raise XenInvalidError(f"{extent!r} is already shared")
@@ -235,7 +287,8 @@ class FrameTable:
         self._credit(DOMID_COW, extent.live_pages)
         extent.owner = DOMID_COW
         extent.shared = True
-        extent.base_ref = 1
+        # A private extent is one run (fresh, or DEAD once freed).
+        extent.run_refs = [DEAD if ref == DEAD else 1 for ref in extent.run_refs]
         extent.cow_protected = extent.page_type is not PageType.IDC_SHM
         extent.writable = not extent.cow_protected
         self.stats["shares"] += extent.live_pages
@@ -244,7 +297,8 @@ class FrameTable:
         """Register one more domain mapping every live page of ``extent``."""
         if not extent.shared:
             raise XenInvalidError(f"{extent!r} is not shared")
-        extent.base_ref += 1
+        extent.run_refs = [DEAD if ref == DEAD else ref + 1
+                           for ref in extent.run_refs]
 
     def add_ref_range(self, extent: Extent, start: int, count: int) -> None:
         """Add one reference to pages ``[start, start+count)`` only.
@@ -258,20 +312,18 @@ class FrameTable:
             raise XenInvalidError(
                 f"range [{start}, {start + count}) outside extent of {extent.count}"
             )
-        if start == 0 and count == extent.count and not extent.dead_pages:
-            extent.base_ref += 1
-            return
-        delta = extent.ref_delta
-        dead = extent.dead_pages
-        for index in range(start, start + count):
-            if index in dead:
-                raise XenInvalidError(
-                    f"cannot re-reference dead page {index} of {extent!r}")
-            value = (delta[index] if index in delta else 0) + 1
-            if value == 0:
-                del delta[index]
-            else:
-                delta[index] = value
+        end = start + count
+        bounds = extent.run_bounds
+        refs = extent.run_refs
+        if count and DEAD in refs[bisect_right(bounds, start) - 1:
+                                  bisect_left(bounds, end)]:
+            raise XenInvalidError(
+                f"cannot re-reference dead pages in [{start}, {end}) of {extent!r}")
+        i = extent._cut(start)
+        j = extent._cut(end)
+        for k in range(i, j):
+            refs[k] += 1
+        extent._coalesce(i, j)
 
     def drop_ref_range(self, extent: Extent, start: int, count: int) -> int:
         """Drop one reference on pages ``[start, start+count)``.
@@ -286,32 +338,21 @@ class FrameTable:
             raise XenInvalidError(
                 f"range [{start}, {start + count}) outside extent of {extent.count}"
             )
+        bounds = extent.run_bounds
+        refs = extent.run_refs
+        i = extent._cut(start)
+        j = extent._cut(start + count)
         freed = 0
-        if start == 0 and count == extent.count and not extent.ref_delta \
-                and not extent.dead_pages:
-            # Fast path: uniform refcount across the whole extent.
-            extent.base_ref -= 1
-            if extent.base_ref == 0:
-                freed = extent.live_pages
-                extent.freed += freed
-                extent.dead_pages.update(range(extent.count))
-        else:
-            delta = extent.ref_delta
-            dead = extent.dead_pages
-            base = extent.base_ref
-            for index in range(start, start + count):
-                if index in dead:
-                    continue
-                new_ref = base + (delta[index] if index in delta else 0) - 1
-                if new_ref == 0:
-                    extent.freed += 1
-                    dead.add(index)
-                    if index in delta:
-                        del delta[index]
-                    freed += 1
-                else:
-                    delta[index] = new_ref - base
+        for k in range(i, j):
+            ref = refs[k]
+            if ref > 1:
+                refs[k] = ref - 1
+            elif ref == 1:
+                refs[k] = DEAD
+                freed += bounds[k + 1] - bounds[k]
+        extent._coalesce(i, j)
         if freed:
+            extent.freed += freed
             self._debit(DOMID_COW, freed)
             self.free_frames += freed
             self.stats["frees"] += freed
@@ -339,21 +380,17 @@ class FrameTable:
         ownership is transferred from dom_cow to the domain generating
         the fault"). Every page in the range must have refcount 1.
         """
-        base = extent.base_ref
-        delta = extent.ref_delta
-        dead = extent.dead_pages
-        for i in range(index, index + count):
-            ref = base + (delta[i] if i in delta else 0)
-            if ref != 1 or i in dead:
-                raise XenInvalidError(
-                    f"page {i} of {extent!r} has refcount "
-                    f"{ref}, adoption needs exactly 1"
-                )
+        ref, run_end = extent.run_at(index)
+        if count < 1 or ref != 1 or run_end < index + count:
+            raise XenInvalidError(
+                f"pages [{index}, {index + count}) of {extent!r} do not all "
+                f"have refcount 1, adoption needs exactly 1"
+            )
+        i = extent._cut(index)
+        j = extent._cut(index + count)
+        extent.run_refs[i] = DEAD
+        extent._coalesce(i, j)
         extent.adopted += count
-        for i in range(index, index + count):
-            dead.add(i)
-            if i in delta:
-                del delta[i]
         self._debit(DOMID_COW, count)
         self._credit(new_owner, count)
         self.stats["cow_adoptions"] += count

@@ -67,6 +67,8 @@ class GuestMemory:
         self.frames = frame_table
         self.segments: list[Segment] = []
         self._starts_cache: list[int] | None = None
+        #: Sum of ``npages`` over ``segments``; splits keep it unchanged.
+        self._total_pages = 0
         self._next_pfn = 0
         #: Pages written since the last :meth:`clear_dirty` (pfn intervals).
         self.dirty = IntervalSet()
@@ -79,7 +81,18 @@ class GuestMemory:
     # ------------------------------------------------------------------
     @property
     def total_pages(self) -> int:
-        return sum(seg.npages for seg in self.segments)
+        """Pages mapped in the pfn space."""
+        return self._total_pages
+
+    def replace_segments(self, segments: list[Segment]) -> None:
+        """Install a new segment list, sorted here by pfn.
+
+        The caller has already settled the frame references of both the
+        old and the new segments (e.g. a clone reset).
+        """
+        self.segments = sorted(segments, key=lambda s: s.pfn_start)
+        self._starts_cache = None
+        self._total_pages = sum(seg.npages for seg in self.segments)
 
     def private_pages(self) -> int:
         """Pages mapped from unshared extents."""
@@ -97,6 +110,7 @@ class GuestMemory:
         self._next_pfn += npages
         self.segments.append(segment)
         self._starts_cache = None
+        self._total_pages += npages
         return segment
 
     def adopt_segment(self, pfn_start: int, extent: Extent, extent_offset: int,
@@ -106,6 +120,7 @@ class GuestMemory:
         index = bisect.bisect_left([s.pfn_start for s in self.segments], pfn_start)
         self.segments.insert(index, segment)
         self._starts_cache = None
+        self._total_pages += npages
         self._next_pfn = max(self._next_pfn, segment.pfn_end)
         return segment
 
@@ -170,24 +185,11 @@ class GuestMemory:
             extent = cur_seg.extent
             index = cur_seg.extent_offset + cur_local
             limit = min(span - offset, cur_seg.npages - cur_local)
-            delta = extent.ref_delta
-            dead = extent.dead_pages
-            base = extent.base_ref
-            ref = base + (delta[index] if index in delta else 0)
+            ref, run_end = extent.run_at(index)
             if ref < 1:
                 raise XenInvalidError(
                     f"write to dead shared page (pfn {start_pfn + offset})")
-            if not delta and not dead:
-                run = limit  # uniform refcount across the extent
-            else:
-                run = 1
-                while run < limit:
-                    nxt = index + run
-                    if (nxt in dead
-                            or base + (delta[nxt] if nxt in delta else 0)
-                            != ref):
-                        break
-                    run += 1
+            run = min(limit, run_end - index)
             if ref > 1:
                 replacement = self.frames.cow_copy(extent, index, self.domid,
                                                    run)
@@ -288,5 +290,6 @@ class GuestMemory:
                 released.add(extent.extent_id)
         self.segments.clear()
         self._starts_cache = None
+        self._total_pages = 0
         self.dirty.clear()
         return freed

@@ -122,3 +122,24 @@ def test_destroy_with_baseline_releases_refs(target):
     platform.cloneop.snapshot(clone.domid)
     platform.xl.destroy(clone.domid)
     platform.check_invariants()
+
+
+def test_total_pages_tracks_the_segment_list(target):
+    platform, clone = target
+    memory = clone.memory
+
+    def check():
+        assert memory.total_pages == sum(seg.npages for seg in memory.segments)
+
+    check()
+    memory.populate(2)
+    check()
+    platform.cloneop.snapshot(clone.domid)
+    memory.write_range(0, 3)
+    check()
+    platform.cloneop.clone_reset(0, clone.domid)
+    check()
+    platform.xl.destroy(clone.domid)
+    assert memory.total_pages == 0
+    check()
+    platform.check_invariants()

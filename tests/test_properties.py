@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -9,7 +10,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from repro.net.bond import BondInterface, layer34_hash
 from repro.net.packets import Flow, Port
 from repro.sim.intervals import IntervalSet
-from repro.xen.errors import XenError
+from repro.xen.errors import XenError, XenInvalidError, XenNoMemoryError
 from repro.xen.frames import FrameTable
 from repro.xen.memory import GuestMemory
 from repro.xenstore.clone import XsCloneOp, xs_clone
@@ -144,6 +145,202 @@ TestFrameMachine = FrameMachine.TestCase
 TestFrameMachine.settings = settings(max_examples=25,
                                      stateful_step_count=30,
                                      deadline=None)
+
+
+# ----------------------------------------------------------------------
+# Run-length refcounts vs a naive per-page reference model
+# ----------------------------------------------------------------------
+class _PagesModel:
+    """One extent as the naive model sees it: page -> ref, dead pages."""
+
+    def __init__(self, count: int) -> None:
+        self.count = count
+        self.refs = {page: 0 for page in range(count)}
+        self.dead: set[int] = set()
+        self.shared = False
+        self.freed = 0
+        self.adopted = 0
+
+    def live(self, start: int, count: int) -> list[int]:
+        return [p for p in range(start, start + count) if p not in self.dead]
+
+    def in_range(self, start: int, count: int) -> bool:
+        return start >= 0 and count >= 0 and start + count <= self.count
+
+
+class RefcountMachine(RuleBasedStateMachine):
+    """Drives FrameTable and the naive model through the same calls."""
+
+    TOTAL = 32
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.frames = FrameTable(self.TOTAL)
+        self.expected_free = self.TOTAL
+        self.extents: list = []
+        self.models: list[_PagesModel] = []
+
+    def _expect(self, error, call, *args):
+        """Run ``call``; it must raise ``error``, or succeed if None."""
+        if error is None:
+            return call(*args)
+        with pytest.raises(error):
+            call(*args)
+        return None
+
+    def _pick(self, data):
+        if not self.extents:
+            return None, None
+        i = data.draw(st.integers(0, len(self.extents) - 1))
+        return self.extents[i], self.models[i]
+
+    def _track(self, extent) -> None:
+        if len(self.extents) < 10:
+            self.extents.append(extent)
+            self.models.append(_PagesModel(extent.count))
+
+    def _drop(self, model: _PagesModel, start: int, count: int) -> int:
+        freed = 0
+        for page in model.live(start, count):
+            model.refs[page] -= 1
+            if model.refs[page] == 0:
+                model.dead.add(page)
+                freed += 1
+        model.freed += freed
+        self.expected_free += freed
+        return freed
+
+    @rule(count=st.integers(1, 8))
+    def alloc(self, count):
+        fits = count <= self.expected_free
+        extent = self._expect(None if fits else XenNoMemoryError,
+                              self.frames.alloc, 1, count)
+        if extent is not None:
+            self.expected_free -= count
+            self._track(extent)
+
+    @rule(data=st.data())
+    def share_to_cow(self, data):
+        extent, model = self._pick(data)
+        if extent is None:
+            return
+        self._expect(XenInvalidError if model.shared else None,
+                     self.frames.share_to_cow, extent)
+        if not model.shared:
+            model.shared = True
+            for page in model.live(0, model.count):
+                model.refs[page] = 1
+
+    @rule(data=st.data())
+    def add_sharer(self, data):
+        extent, model = self._pick(data)
+        if extent is None:
+            return
+        self._expect(None if model.shared else XenInvalidError,
+                     self.frames.add_sharer, extent)
+        if model.shared:
+            for page in model.live(0, model.count):
+                model.refs[page] += 1
+
+    @rule(data=st.data(), start=st.integers(-1, 8), count=st.integers(0, 8))
+    def add_ref_range(self, data, start, count):
+        extent, model = self._pick(data)
+        if extent is None:
+            return
+        ok = (model.shared and model.in_range(start, count)
+              and len(model.live(start, count)) == count)
+        self._expect(None if ok else XenInvalidError,
+                     self.frames.add_ref_range, extent, start, count)
+        if ok:
+            for page in range(start, start + count):
+                model.refs[page] += 1
+
+    @rule(data=st.data(), start=st.integers(-1, 8), count=st.integers(0, 8))
+    def drop_ref_range(self, data, start, count):
+        extent, model = self._pick(data)
+        if extent is None:
+            return
+        ok = model.shared and model.in_range(start, count)
+        freed = self._expect(None if ok else XenInvalidError,
+                             self.frames.drop_ref_range, extent, start, count)
+        if ok:
+            assert freed == self._drop(model, start, count)
+
+    @rule(data=st.data(), start=st.integers(0, 7), count=st.integers(1, 8))
+    def cow_copy(self, data, start, count):
+        # Only valid ranges: cow_copy allocates the copy before it
+        # validates the range against the shared extent.
+        extent, model = self._pick(data)
+        if extent is None or not model.shared \
+                or not model.in_range(start, count):
+            return
+        fits = count <= self.expected_free
+        copy = self._expect(None if fits else XenNoMemoryError,
+                            self.frames.cow_copy, extent, start, 2, count)
+        if copy is not None:
+            self.expected_free -= count
+            self._drop(model, start, count)
+            self._track(copy)
+
+    @rule(data=st.data(), start=st.integers(-1, 8), count=st.integers(0, 8))
+    def cow_adopt(self, data, start, count):
+        extent, model = self._pick(data)
+        if extent is None:
+            return
+        pages = range(start, start + count)
+        ok = (count > 0 and model.in_range(start, count)
+              and all(p not in model.dead and model.refs[p] == 1
+                      for p in pages))
+        adopted = self._expect(None if ok else XenInvalidError,
+                               self.frames.cow_adopt, extent, start, 2,
+                               count)
+        if ok:
+            model.dead.update(pages)
+            model.adopted += count
+            self._track(adopted)
+
+    @rule(data=st.data())
+    def free_extent(self, data):
+        extent, model = self._pick(data)
+        if extent is None:
+            return
+        freed = self._expect(XenInvalidError if model.shared else None,
+                             self.frames.free_extent, extent)
+        if not model.shared:
+            live = model.count - len(model.dead)
+            assert freed == live
+            self.expected_free += live
+            model.freed = model.count - model.adopted
+            model.dead.update(range(model.count))
+
+    @invariant()
+    def agrees_with_model(self):
+        assert self.frames.free_frames == self.expected_free
+        self.frames.check_invariants()
+        for extent, model in zip(self.extents, self.models):
+            for page in range(model.count):
+                dead = page in model.dead
+                assert extent.is_dead(page) == dead
+                assert extent.effective_ref(page) == \
+                    (0 if dead else model.refs[page])
+            assert (extent.freed, extent.adopted) == \
+                (model.freed, model.adopted)
+            assert extent.live_pages == model.count - len(model.dead)
+
+    @invariant()
+    def runs_are_coalesced(self):
+        for extent in self.extents:
+            index, previous = 0, None
+            while index < extent.count:
+                ref, end = extent.run_at(index)
+                assert end > index and ref != previous
+                index, previous = end, ref
+
+
+TestRefcountMachine = RefcountMachine.TestCase
+TestRefcountMachine.settings = settings(max_examples=40,
+                                        stateful_step_count=40,
+                                        deadline=None)
 
 
 # ----------------------------------------------------------------------

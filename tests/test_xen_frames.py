@@ -46,7 +46,7 @@ def test_share_moves_ownership_to_dom_cow(frames):
     assert not extent.writable
     assert frames.pages_owned(1) == 0
     assert frames.pages_owned(DOMID_COW) == 10
-    assert extent.base_ref == 1
+    assert [extent.effective_ref(i) for i in range(10)] == [1] * 10
     frames.check_invariants()
 
 
@@ -158,8 +158,8 @@ def test_add_ref_range_whole_extent_fast_path(frames):
     extent = frames.alloc(owner=1, count=10)
     frames.share_to_cow(extent)
     frames.add_ref_range(extent, 0, 10)
-    assert extent.base_ref == 2
-    assert not extent.ref_delta
+    assert [extent.effective_ref(i) for i in range(10)] == [2] * 10
+    assert extent.run_at(0) == (2, 10)  # still one run
 
 
 def test_cannot_reref_dead_page(frames):
@@ -168,6 +168,38 @@ def test_cannot_reref_dead_page(frames):
     frames.drop_ref_range(extent, 0, 1)  # page 0 dies
     with pytest.raises(XenInvalidError):
         frames.add_ref_range(extent, 0, 1)
+
+
+def _dropped_twice_extent():
+    """A 10-page extent with 2 sharers whose pages 2-4 were dropped twice."""
+    table = FrameTable(100)
+    extent = table.alloc(owner=1, count=10)
+    table.share_to_cow(extent)
+    table.add_sharer(extent)
+    table.drop_ref_range(extent, 2, 3)
+    table.drop_ref_range(extent, 2, 3)
+    return table, extent
+
+
+def test_rejected_add_ref_range_changes_nothing():
+    table, extent = _dropped_twice_extent()
+    before = [extent.effective_ref(i) for i in range(10)]
+    with pytest.raises(XenInvalidError):
+        table.add_ref_range(extent, 0, 5)
+    assert [extent.effective_ref(i) for i in range(10)] == before
+    assert before == [2, 2, 0, 0, 0, 2, 2, 2, 2, 2]
+    assert table.drop_ref_range(extent, 0, 10) == 0
+    assert table.drop_ref_range(extent, 0, 10) == 7
+    assert table.free_frames == 100
+    table.check_invariants()
+
+
+def test_dead_page_has_no_references():
+    _, extent = _dropped_twice_extent()
+    assert extent.is_dead(2)
+    assert extent.effective_ref(2) == 0
+    assert not extent.is_dead(1)
+    assert extent.effective_ref(1) == 2
 
 
 def test_range_validation(frames):
