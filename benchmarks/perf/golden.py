@@ -4,7 +4,8 @@ Wall-clock optimizations must never move virtual time: every figure
 series produced at the default seed (``0xC10E``) has to stay
 bit-identical across host-side performance work. This module runs each
 figure driver at a reduced (but shape-preserving) scale, converts the
-result dataclasses to canonical JSON and hashes them.
+result dataclasses to canonical JSON and hashes them with the one
+:func:`repro.obs.fingerprint` every storm and experiment uses.
 
 ``golden_series.json`` (checked in next to this module) holds the
 fingerprints captured *before* the optimization work; the determinism
@@ -17,10 +18,10 @@ Regenerate (only when a change intentionally moves virtual time)::
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 from pathlib import Path
+
+from repro.obs import fingerprint, jsonify
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_series.json"
 
@@ -57,35 +58,13 @@ def _figures() -> dict:
     }
 
 
-def jsonify(value):
-    """Canonical JSON-able form of a figure result (floats kept exact:
-    ``json`` emits shortest-round-trip reprs, so equal hashes mean
-    bit-identical series)."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {f.name: jsonify(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
-    if isinstance(value, dict):
-        return {str(k): jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonify(v) for v in value]
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return repr(value)
-
-
-def fingerprint(result) -> str:
-    """sha256 over the canonical JSON of one figure result."""
-    payload = json.dumps(jsonify(result), sort_keys=True, allow_nan=False)
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
 def compute_fingerprints(only: set[str] | None = None) -> dict[str, str]:
     """Run every (selected) reduced-scale figure and fingerprint it."""
     prints: dict[str, str] = {}
     for name, runner in _figures().items():
         if only is not None and name not in only:
             continue
-        prints[name] = fingerprint(runner())
+        prints[name] = fingerprint(jsonify(runner()))
     return prints
 
 

@@ -81,13 +81,8 @@ FRONTDOOR_FINGERPRINTS = {
 #: target — the remaining profile is flat (no frame above 4%), so the
 #: floor pins what is actually held rather than the aspiration.
 #:
-#: ``fleet_parallel`` is gated on fingerprint equality (serial vs
-#: process-parallel, always) and on barrier overhead (the serial-storm
-#: wall-clock per epoch staying sane); its wall-clock ``scaling`` is
-#: recorded but only enforced when the host actually has at least as
-#: many CPUs as workers — a 1-CPU container cannot speed anything up
-#: by adding processes. ``kvm_clone_burst`` is gated on same-seed
-#: determinism next to the Xen golden guard.
+#: ``kvm_clone_burst`` is gated on same-seed determinism next to the
+#: Xen golden guard.
 #: Floors are per scale: the wins scale with event count, so quick
 #: runs (CI smoke) sit much closer to the seed than full runs.
 FLOORS: dict[str, dict[str, dict[str, float]]] = {
@@ -113,9 +108,6 @@ FLOORS: dict[str, dict[str, dict[str, float]]] = {
     "frontdoor_p99": {
         "full": {"speedup": 3.0, "work_reduction": 5.5},
         "quick": {"speedup": 0.9, "work_reduction": 1.25}},
-    "fleet_parallel": {
-        "full": {"scaling": 0.9},
-        "quick": {"scaling": 0.9}},
 }
 
 
@@ -350,9 +342,8 @@ def kvm_fingerprint() -> str:
     total virtual ms) and the surviving-VM census — everything the
     clone path touches. Two same-seed runs must agree byte-for-byte.
     """
-    import hashlib
-
     from repro.kvm import KvmPlatform
+    from repro.obs import fingerprint
 
     platform = KvmPlatform(trace=True)
     parent = platform.create_vm("det-kvm", memory_bytes=8 << 20,
@@ -365,54 +356,7 @@ def kvm_fingerprint() -> str:
         "spans": {kind: [entry["count"], round(entry["total_ms"], 9)]
                   for kind, entry in platform.tracer.summary().items()},
     }
-    payload = json.dumps(observables, sort_keys=True).encode()
-    return hashlib.sha256(payload).hexdigest()
-
-
-def fleet_parallel_entry(quick: bool, repeat: int = 1) -> dict:
-    """Time the epoch-barrier storm serial vs process-parallel.
-
-    Byte-identical fingerprints between the two executors are this
-    scenario's hard invariant (the determinism guard for the parallel
-    fleet runner). Wall-clock ``scaling`` (serial / parallel seconds)
-    is recorded together with the host CPU count; on a single-CPU
-    host the parallel run necessarily loses to the serial one (same
-    work plus pipe traffic), so the gate only enforces the scaling
-    floor when ``cpus >= workers``.
-    """
-    from repro.fleet.parallel import run_parallel_storm
-
-    workers = 2 if quick else 4
-    params = dict(hosts=4, parents=2, batch=2, epochs=3, kills=1) \
-        if quick else dict(hosts=4, parents=3, batch=3, epochs=8, kills=1)
-
-    def run(n_workers: int):
-        return run_parallel_storm(workers=n_workers, **params)
-
-    serial_best = float("inf")
-    parallel_best = float("inf")
-    serial_print = parallel_print = ""
-    for _ in range(max(1, repeat)):
-        gc.collect()
-        start = time.perf_counter()
-        report = run(0)
-        serial_best = min(serial_best, time.perf_counter() - start)
-        serial_print = report.fingerprint
-        start = time.perf_counter()
-        report = run(workers)
-        parallel_best = min(parallel_best, time.perf_counter() - start)
-        parallel_print = report.fingerprint
-    return {
-        "seconds": round(serial_best, 3),
-        "parallel_seconds": round(parallel_best, 3),
-        "scaling": round(serial_best / parallel_best, 2),
-        "workers": workers,
-        "hosts": params["hosts"],
-        "epochs": params["epochs"],
-        "cpus": os.cpu_count(),
-        "fingerprint_match": serial_print == parallel_print,
-        "fingerprint": serial_print,
-    }
+    return fingerprint(observables)
 
 
 SCENARIOS = {
@@ -484,7 +428,6 @@ def run_harness(quick: bool = False, repeat: int = 1,
                                if base_calls and calls else None),
         }
         results[name] = entry
-    results["fleet_parallel"] = fleet_parallel_entry(quick, repeat=repeat)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "scale": scale,
@@ -518,14 +461,6 @@ def format_wallclock(payload: dict) -> str:
     width = max(len(name) for name in payload["scenarios"])
     for name, entry in payload["scenarios"].items():
         line = f"  {name:<{width}}  {entry['seconds']:>8.3f}s"
-        if name == "fleet_parallel":
-            line += (f"  (parallel {entry['parallel_seconds']:.3f}s, "
-                     f"{entry['scaling']:.2f}x over {entry['workers']} "
-                     f"workers on {entry['cpus']} cpus, fingerprints "
-                     + ("match)" if entry["fingerprint_match"]
-                        else "DIFFER)"))
-            lines.append(line)
-            continue
         if entry.get("baseline_seconds"):
             line += (f"  (baseline {entry['baseline_seconds']:.3f}s, "
                      f"{entry['speedup']:.2f}x)")

@@ -312,6 +312,7 @@ class XlShell:
         if sub != "storm" or len(args) > 3:
             raise CliError("usage: fleet storm [hosts kills] | fleet policies")
         from repro.fleet import run_fleet_chaos
+        from repro.storm import fleet_summary
 
         try:
             hosts = int(args[1]) if len(args) >= 2 else 4
@@ -320,21 +321,7 @@ class XlShell:
             raise CliError(f"bad hosts/kills: {error}") from error
         # The storm runs on its own fleet (own hosts, own clock); the
         # shell's single-host platform is untouched.
-        report = run_fleet_chaos(hosts=hosts, kills=kills)
-        self._print(f"fleet chaos seed={report.seed:#x} "
-                    f"hosts={report.hosts} policy={report.policy}")
-        self._print(f"  clones: requested={report.clones_requested} "
-                    f"placed={report.clones_placed} "
-                    f"failed={report.clones_failed}")
-        self._print(f"  hosts killed: {report.hosts_killed}  "
-                    f"replacements: {report.replacements}")
-        self._print(f"  fingerprint: {report.fingerprint}")
-        if report.violations:
-            self._print(f"  VIOLATIONS ({len(report.violations)}):")
-            for violation in report.violations:
-                self._print(f"    - {violation}")
-        else:
-            self._print("  leak audit: clean (fleet-wide)")
+        self._print(fleet_summary(run_fleet_chaos(hosts=hosts, kills=kills)))
 
     def cmd_frontdoor(self, args: list[str]) -> None:
         """frontdoor [requests [clone-factor]] | frontdoor storm [faults]"""

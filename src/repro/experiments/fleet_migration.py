@@ -39,8 +39,6 @@ byte-identical before fingerprinting.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import multiprocessing
 from dataclasses import dataclass, field
 from typing import Any
@@ -50,6 +48,7 @@ from repro.faults.plan import FaultPlan, FaultSpec
 from repro.fleet.chaos import audit_fleet
 from repro.fleet.migration import run_migration_chaos
 from repro.frontdoor.session import FleetSession
+from repro.obs.canonical import fingerprint
 
 MIB = 1024 * 1024
 
@@ -188,8 +187,7 @@ def run(seed: int = 0xC10E, *, hosts: int = 3, clones_origin: int = 6,
         clones_spill: int = 2, requests: int = 12_000,
         arrival_rps: float = 1500.0, heartbeat_every_ms: float = 50.0,
         kill_tick: int | None = None, storm_faults: int = 100,
-        storm_rounds: int = 10,
-        parallel: bool = True) -> FleetMigrationResult:
+        storm_rounds: int = 10) -> FleetMigrationResult:
     """The drain-vs-kill ablation at one operating point.
 
     The arrival rate deliberately exceeds what the spill host's
@@ -216,13 +214,11 @@ def run(seed: int = 0xC10E, *, hosts: int = 3, clones_origin: int = 6,
         seed=seed, hosts=hosts,
         instances=2 + clones_origin + clones_spill,
         requests=requests, arrival_rps=arrival_rps)
-    if parallel:
-        with multiprocessing.get_context("fork").Pool(2) as pool:
-            pooled = pool.map(_run_arm, tasks)
-        result.parallel_identical = pooled == serial
-        if not result.parallel_identical:
-            result.violations.append(
-                "parallel run diverged from serial run")
+    with multiprocessing.get_context("fork").Pool(2) as pool:
+        pooled = pool.map(_run_arm, tasks)
+    result.parallel_identical = pooled == serial
+    if not result.parallel_identical:
+        result.violations.append("parallel run diverged from serial run")
 
     for unit in serial:
         name = unit.pop("arm")
@@ -258,8 +254,7 @@ def run(seed: int = 0xC10E, *, hosts: int = 3, clones_origin: int = 6,
 
     payload = result.to_dict()
     payload.pop("fingerprint")
-    result.fingerprint = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    result.fingerprint = fingerprint(payload)
     return result
 
 

@@ -36,8 +36,6 @@ process pool, and the two result sets must be byte-identical.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import multiprocessing
 from dataclasses import dataclass, field
 from typing import Any
@@ -47,6 +45,7 @@ from repro.experiments.report import format_table
 from repro.fleet.chaos import audit_fleet
 from repro.frontdoor.resilience import ResiliencePolicy, run_overload_storm
 from repro.frontdoor.session import FleetSession
+from repro.obs.canonical import fingerprint
 
 #: Goodput segments reported per wave (offered load is flat across
 #: them by construction, so the series *is* the goodput curve).
@@ -205,8 +204,8 @@ def run(seed: int = 0xC10E, *, shape: str = "faas", hosts: int = 4,
         overload_d: int = 8, timeout_ms: float = 60.0,
         attempt_timeout_ms: float = 40.0,
         sojourn_bound_ms: float = 25.0, deadline_ms: float = 50.0,
-        storm_requests: int = 3_000, storm_faults: int = 30,
-        parallel: bool = True) -> FrontdoorOverloadResult:
+        storm_requests: int = 3_000,
+        storm_faults: int = 30) -> FrontdoorOverloadResult:
     """The overload ablation at one operating point.
 
     ``utilization`` is chosen so the baseline clone factor sits clear
@@ -232,13 +231,11 @@ def run(seed: int = 0xC10E, *, shape: str = "faas", hosts: int = 4,
     result = FrontdoorOverloadResult(
         seed=seed, hosts=hosts, replicas=replicas, requests=requests,
         arrival_rps=arrival_rps)
-    if parallel:
-        with multiprocessing.get_context("fork").Pool(2) as pool:
-            pooled = pool.map(_run_arm, tasks)
-        result.parallel_identical = pooled == serial
-        if not result.parallel_identical:
-            result.violations.append(
-                "parallel run diverged from serial run")
+    with multiprocessing.get_context("fork").Pool(2) as pool:
+        pooled = pool.map(_run_arm, tasks)
+    result.parallel_identical = pooled == serial
+    if not result.parallel_identical:
+        result.violations.append("parallel run diverged from serial run")
 
     for unit in serial:
         name = unit.pop("arm")
@@ -299,8 +296,7 @@ def run(seed: int = 0xC10E, *, shape: str = "faas", hosts: int = 4,
 
     payload = result.to_dict()
     payload.pop("fingerprint")
-    result.fingerprint = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    result.fingerprint = fingerprint(payload)
     return result
 
 

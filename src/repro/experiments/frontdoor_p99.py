@@ -27,8 +27,6 @@ conservation laws still hold.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -40,6 +38,7 @@ from repro.frontdoor.dispatch import AutoscalePolicy
 from repro.frontdoor.model import measured_rho_eff, quantile_sojourn_ms
 from repro.frontdoor.results import DispatchResult
 from repro.frontdoor.session import FleetSession
+from repro.obs.canonical import fingerprint
 
 #: rho_eff above this is "at the knee": the open-loop backlog grows for
 #: as long as arrivals continue, so the measured tail is a function of
@@ -200,8 +199,7 @@ def run(seed: int = 0xC10E, *, shape: str = "faas",
 
     payload = result.to_dict()
     payload.pop("fingerprint")
-    result.fingerprint = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    result.fingerprint = fingerprint(payload)
     return result
 
 

@@ -16,13 +16,12 @@ platform import would cycle.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ReproError
 from repro.faults.plan import FaultPlan
+from repro.obs.canonical import fingerprint
 
 
 @dataclass
@@ -287,8 +286,7 @@ def run_kvm_chaos(seed: int = 0xC10E, faults: int = 100,
     report.clock_ms = round(platform.clock.now, 6)
     payload = report.to_dict()
     payload.pop("fingerprint")
-    report.fingerprint = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    report.fingerprint = fingerprint(payload)
     return report
 
 
@@ -403,6 +401,5 @@ def run_chaos(seed: int = 0xC10E, faults: int = 100,
     report.clock_ms = round(platform.clock.now, 6)
     payload = report.to_dict()
     payload.pop("fingerprint")
-    report.fingerprint = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    report.fingerprint = fingerprint(payload)
     return report

@@ -167,7 +167,10 @@ class FaultPlan:
         Sites, triggers, and probabilities are drawn from a stream
         forked off ``seed``, so the same seed always produces the same
         plan — the chaos harness's determinism guarantee starts here.
+        A budget of 0 is the empty plan; a negative one is rejected.
         """
+        if faults < 0:
+            raise FaultPlanError(f"negative 'faults' budget: {faults}")
         rng = DeterministicRNG(seed).fork("fault-plan")
         pool = list(sites) if sites is not None else raise_sites()
         if include_drops and sites is None:

@@ -12,8 +12,6 @@ be byte-identical: the property the ``fleet-chaos-smoke`` CI job pins.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -21,6 +19,7 @@ from repro.errors import ReproError
 from repro.faults.chaos import audit_platform
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.fleet.fleet import Fleet, FleetConfig, HostState
+from repro.obs.canonical import fingerprint
 from repro.sim import DeterministicRNG
 from repro.sim.units import MIB
 
@@ -336,6 +335,5 @@ def run_fleet_chaos(seed: int = 0xC10E, hosts: int = 4, kills: int = 2,
     report.clock_ms = round(fleet.clock.now, 6)
     payload = report.to_dict()
     payload.pop("fingerprint")
-    report.fingerprint = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    report.fingerprint = fingerprint(payload)
     return report

@@ -36,12 +36,11 @@ source host, the target host, or the stream mid-round; the ledger
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ReproError
+from repro.obs.canonical import fingerprint
 from repro.toolstack.config import DomainConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -775,22 +774,28 @@ def migration_storm_plan(seed: int, faults: int = 100,
     ``hosts - 2``, so the fleet always keeps a migratable pair) fires
     the fail-stop paths: source lost mid-round, target lost mid-round,
     and — via the post-copy storms the workload schedules — source
-    lost with pages outstanding after cutover.
+    lost with pages outstanding after cutover. A budget smaller than
+    that kill tail is a :class:`~repro.faults.plan.FaultPlanError`.
     """
-    from repro.faults.plan import FaultPlan, FaultSpec
+    from repro.faults.plan import FaultPlan, FaultPlanError, FaultSpec
     from repro.sim import DeterministicRNG
 
     rng = DeterministicRNG(seed).fork("migration-storm-plan")
     kills = max(0, min(hosts - 2, 2))
+    if faults < kills:
+        raise FaultPlanError(
+            f"'faults' budget {faults} is below the {kills} host kills "
+            f"a {hosts}-host migration storm plans")
     specs = []
     # One budgeted probabilistic spec, not many independent ones: the
     # injector consults every armed spec per poll, so N independent
     # draws would compound to near-certain death each round. A single
     # p=0.2 draw lets migrations survive rounds, reach cutover, and
     # still lose the stream at every phase across the storm.
-    specs.append(FaultSpec(site="migration.stream",
-                           count=faults - kills,
-                           probability=0.2))
+    if faults > kills:
+        specs.append(FaultSpec(site="migration.stream",
+                               count=faults - kills,
+                               probability=0.2))
     for index in range(kills):
         site = ("migration.source" if index % 2 == 0
                 else "migration.target")
@@ -914,73 +919,5 @@ def run_migration_chaos(seed: int = 0xC10E, hosts: int = 4,
     report.clock_ms = round(fleet.clock.now, 6)
     payload = report.to_dict()
     payload.pop("fingerprint")
-    report.fingerprint = hashlib.sha256(
-        json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    report.fingerprint = fingerprint(payload)
     return report
-
-
-def main(argv: list[str] | None = None) -> int:
-    """CLI: ``python -m repro.fleet.migration`` (migration-chaos-smoke).
-
-    Exits non-zero on any conservation/leak violation, on fingerprint
-    drift between same-seed runs, or if the storm never exercised a
-    migration (planned == 0 would make the smoke vacuous).
-    """
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Run a deterministic migration chaos storm: drains "
-                    "and rebalances under migration/host faults, with "
-                    "the fleet-wide leak audit run mid-stream and after "
-                    "quiesce.")
-    parser.add_argument("--seed", type=lambda v: int(v, 0),
-                        default=0xC10E)
-    parser.add_argument("--hosts", type=int, default=4)
-    parser.add_argument("--faults", type=int, default=100)
-    parser.add_argument("--rounds", type=int, default=10)
-    parser.add_argument("--runs", type=int, default=1,
-                        help="repeat and require byte-identical "
-                             "fingerprints")
-    parser.add_argument("--json", action="store_true")
-    args = parser.parse_args(argv)
-
-    fingerprints = []
-    report = None
-    for _ in range(max(1, args.runs)):
-        report = run_migration_chaos(seed=args.seed, hosts=args.hosts,
-                                     faults=args.faults,
-                                     rounds=args.rounds)
-        fingerprints.append(report.fingerprint)
-    assert report is not None
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(f"migration storm seed={args.seed:#x} hosts={args.hosts} "
-              f"faults={args.faults}")
-        print(f"  planned {report.migrations_planned}, done "
-              f"{report.migrations_done}, failed "
-              f"{report.migrations_failed}")
-        print(f"  pages streamed {report.pages_streamed}, aborted "
-              f"{report.pages_aborted}, mid-stream audits "
-              f"{report.midstream_audits}")
-        print(f"  violations: {len(report.violations)}")
-        for violation in report.violations:
-            print(f"    - {violation}")
-        print(f"  fingerprint: {report.fingerprint}")
-
-    failures = []
-    if report.violations:
-        failures.append(f"{len(report.violations)} audit violations")
-    if len(set(fingerprints)) > 1:
-        failures.append("fingerprint drift between same-seed runs")
-    if report.migrations_planned == 0:
-        failures.append("storm planned no migrations")
-    if failures:
-        print("FAIL: " + "; ".join(failures))
-        return 1
-    print("ok")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

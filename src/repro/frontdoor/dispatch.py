@@ -63,9 +63,7 @@ full per-request latency series — same seed, same bytes.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
-import json
 import math
 from array import array
 from typing import TYPE_CHECKING, Any
@@ -80,6 +78,7 @@ from repro.frontdoor.results import (
     NoCapacity,
     Overloaded,
 )
+from repro.obs.canonical import fingerprint
 from repro.obs.registry import LATENCY_BUCKET_BOUNDS, MetricsRegistry
 from repro.sim.engine import Engine
 
@@ -1498,8 +1497,7 @@ class FrontDoor:
                           for lat in run.latencies],
             "counts": dict(sorted(counts.items())),
         }
-        fingerprint = hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        digest = fingerprint(payload)
         segments: tuple = ()
         if report_segments > 0:
             seg = [0] * report_segments
@@ -1525,7 +1523,7 @@ class FrontDoor:
             latency_p99_ms=quantile(0.99),
             latency_max_ms=(done[-1] if done else 0.0),
             work_served_ms=work_served, work_useful_ms=work_useful,
-            waste_fraction=waste, fingerprint=fingerprint,
+            waste_fraction=waste, fingerprint=digest,
             offered=run.offered, shed=run.shed, retries=run.retries,
             segment_completed=segments)
 

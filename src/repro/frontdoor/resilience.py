@@ -38,13 +38,12 @@ checked by :func:`repro.fleet.chaos.audit_frontdoor`.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections import deque
 from dataclasses import dataclass, fields
 from typing import Any
 
 from repro.frontdoor.results import FrontDoorError
+from repro.obs.canonical import fingerprint
 from repro.sim.costs import CostModel
 
 _COSTS = CostModel()
@@ -426,7 +425,7 @@ class ResilienceState:
 
 
 # ----------------------------------------------------------------------
-# The overload-storm smoke (python -m repro.frontdoor --overload-storm)
+# The overload-storm smoke (python -m repro.storm overload)
 # ----------------------------------------------------------------------
 
 #: Policy the storm smoke runs under: admission + brownout + budgeted
@@ -483,7 +482,7 @@ def run_overload_storm(seed: int = 0xC10E, *, hosts: int = 2,
     front-door conservation audit *between* waves (mid-run, work in
     flight) and once after quiesce. The report's sha256 fingerprint is
     pinned by ``tests/test_resilience.py`` and compared across ``--runs``
-    repetitions by the CLI.
+    repetitions by ``python -m repro.storm overload``.
     """
     from repro.apps.traffic import FAAS_INVOKE
     from repro.faults.plan import FaultPlan
@@ -540,8 +539,7 @@ def run_overload_storm(seed: int = 0xC10E, *, hosts: int = 2,
         session.close(check=False)
     payload = report.to_dict()
     payload.pop("fingerprint")
-    blob = json.dumps(payload, sort_keys=True).encode()
-    report.fingerprint = hashlib.sha256(blob).hexdigest()
+    report.fingerprint = fingerprint(payload)
     return report
 
 

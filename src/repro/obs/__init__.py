@@ -17,8 +17,14 @@ Span taxonomy (dotted, layer-first):
 - ``xl.*`` - other toolstack verbs (destroy/save/restore)
 - ``xenstore.*`` - daemon-side events (log rotation)
 - ``vif.*`` / ``p9.*`` - device backend setup and clone shortcuts
+
+Determinism pins go through :mod:`repro.obs.canonical`: one
+:func:`fingerprint` (sha256 over canonical JSON) for every storm,
+experiment and figure series, and :func:`first_difference` to name the
+first divergent record when two fingerprints disagree.
 """
 
+from repro.obs.canonical import first_difference, fingerprint, jsonify
 from repro.obs.registry import (
     Counter,
     DEFAULT_BUCKET_BOUNDS,
@@ -46,6 +52,9 @@ __all__ = [
     "Tracer",
     "diff_summaries",
     "dump_report",
+    "fingerprint",
+    "first_difference",
     "format_summary",
+    "jsonify",
     "run_report",
 ]

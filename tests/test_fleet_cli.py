@@ -1,10 +1,14 @@
-"""``python -m repro.fleet``: exit codes and output contract."""
+"""``python -m repro.storm fleet``: exit codes and output contract."""
 
 from __future__ import annotations
 
 import json
 
-from repro.fleet.cli import main
+from repro import storm
+
+
+def main(argv: list[str]) -> int:
+    return storm.main(["fleet", *argv])
 
 
 def test_list_policies(capsys):

@@ -1,12 +1,17 @@
-"""Tests: ``python -m repro.frontdoor`` and the shell front-door verbs."""
+"""Tests: ``python -m repro.storm frontdoor`` and the shell front-door
+verbs."""
 
 import io
 import json
 
 import pytest
 
+from repro import storm
 from repro.cli import CliError, XlShell
-from repro.frontdoor.cli import main
+
+
+def main(argv: list[str]) -> int:
+    return storm.main(["frontdoor", *argv])
 
 
 @pytest.fixture
@@ -89,9 +94,8 @@ def test_shell_storm_total_loss_still_fingerprints(shell):
 
 
 def test_module_cli_total_loss_exits_zero(capsys):
-    from repro.fleet.cli import main as fleet_main
-
-    assert fleet_main(["--hosts", "2", "--kills", "2", "--runs", "2"]) == 0
+    assert storm.main(["fleet", "--hosts", "2", "--kills", "2",
+                       "--runs", "2"]) == 0
     out = capsys.readouterr().out
     assert "hosts killed: 2" in out
     assert "fingerprint" in out

@@ -16,7 +16,7 @@ from repro.fleet import (
 from repro.sim.units import MIB
 from repro.toolstack.config import DomainConfig, VifConfig
 
-#: Golden pin for the CI smoke storm (``python -m repro.fleet.migration``
+#: Golden pin for the CI smoke storm (``python -m repro.storm migration``
 #: at the default seed): any behavior drift in the migration tier, the
 #: fault injector or the fleet's failover paths moves this hash.
 STORM_FINGERPRINT = (
