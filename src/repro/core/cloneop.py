@@ -143,12 +143,12 @@ class CloneOp:
             children: list[Domain] = []
             for i in range(count):
                 child_index = parent.clones_created
-                # Domids are allocated monotonically, so "domains that
-                # appeared during this first stage" is just "domid >=
-                # the allocator's current value" — snapshotting the
-                # whole domain set per child would be O(fleet) on the
-                # success path.
-                known_mark = hyp._next_domid
+                # "Domains that appeared during this first stage" are
+                # those whose creation serial is at least the
+                # hypervisor's current count (domids wrap, serials do
+                # not) — snapshotting the whole domain set per child
+                # would be O(fleet) on the success path.
+                known_mark = hyp.domains_created
                 try:
                     with tracer.span("clone.first_stage",
                                      parent=parent.domid) as span:
@@ -264,11 +264,12 @@ class CloneOp:
 
     def _abort_partial_clone(self, parent: Domain, known_mark: int,
                              previous_state: DomainState) -> None:
-        """Destroy every domain allocated at or after ``known_mark``
-        (the domid allocator's value when the failed first stage
+        """Destroy every domain created at or after ``known_mark``
+        (the hypervisor's creation count when the failed first stage
         began); only runs on the failure path."""
         hyp = self.hypervisor
-        for domid in [d for d in hyp.domains if d >= known_mark]:
+        for domid in [d for d, domain in hyp.domains.items()
+                      if domain.serial >= known_mark]:
             orphan = hyp.domains[domid]
             if domid in parent.children:
                 parent.children.remove(domid)

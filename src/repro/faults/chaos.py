@@ -22,6 +22,7 @@ from typing import Any
 from repro.errors import ReproError
 from repro.faults.plan import FaultPlan
 from repro.obs.canonical import fingerprint
+from repro.xen.domid import DOM0, DOMID_COW, XEN_OWNER, is_reserved
 
 
 @dataclass
@@ -74,16 +75,10 @@ def audit_platform(platform: Any) -> list[str]:
         violations.append(f"frame table: {error}")
 
     live = set(hyp.domains)
-    from repro.xen.domid import DOM0, DOMID_COW, XEN_OWNER
-
-    accounted = live | {DOM0, DOMID_COW, XEN_OWNER}
-    for domid in range(1, hyp._next_domid):
-        if domid in accounted:
-            continue
-        owned = frames.pages_owned(domid)
-        if owned:
-            violations.append(
-                f"dead domain {domid} still owns {owned} frames")
+    violations += _dead_owners(frames, live, "dead domain")
+    for domid in sorted(live):
+        if is_reserved(domid):
+            violations.append(f"live domain has reserved domid {domid:#x}")
 
     for domain in hyp.domains.values():
         for channel in domain.events.ports.values():
@@ -127,21 +122,47 @@ def audit_platform(platform: Any) -> list[str]:
         if domid_dir not in live and domid_dir != DOM0:
             violations.append(
                 f"xenstore subtree /local/domain/{domid_dir} leaked")
-    if store.transactions.open_count:
+    transactions = store.transactions
+    if transactions.open_count:
         violations.append(
-            f"{store.transactions.open_count} xenstore transactions left open")
+            f"{transactions.open_count} xenstore transactions left open")
+    elif transactions._path_generation or transactions._prefix_generation:
+        violations.append(
+            f"{len(transactions._path_generation)} path and "
+            f"{len(transactions._prefix_generation)} subtree conflict "
+            "generations kept with no transaction open")
 
     dom0 = platform.dom0
     live_ports = {backend.port for backend in dom0.netback.backends.values()}
-    for name, bond in dom0.bonds.items():
-        for port in bond.slaves:
-            if port not in live_ports:
-                violations.append(f"bond {name} holds dead slave {port.name}")
+    violations += _bond_leaks(dom0.bonds, live_ports)
     for group_id, group in dom0.ovs_groups.items():
+        if not group.bucket_count:
+            violations.append(f"OVS group {group_id} kept with no buckets")
         for port in group.buckets:
             if port not in live_ports:
                 violations.append(
                     f"OVS group {group_id} holds dead bucket {port.name}")
+    return violations
+
+
+def _dead_owners(frames: Any, live: set[int], what: str) -> list[str]:
+    """Frames still charged to an owner that is neither live nor one of
+    the pseudo-owners (Dom0, dom_cow, Xen itself)."""
+    accounted = live | {DOM0, DOMID_COW, XEN_OWNER}
+    return [f"{what} {owner} still owns {owned} frames"
+            for owner, owned in sorted(frames._owned.items())
+            if owner not in accounted and owned]
+
+
+def _bond_leaks(bonds: dict[str, Any], live_ports: set) -> list[str]:
+    """Family bonds that outlived their family or hold a dead slave."""
+    violations = []
+    for name, bond in bonds.items():
+        if not bond.slave_count:
+            violations.append(f"bond {name} kept with no slaves")
+        for port in bond.slaves:
+            if port not in live_ports:
+                violations.append(f"bond {name} holds dead slave {port.name}")
     return violations
 
 
@@ -169,15 +190,8 @@ def audit_kvm_platform(platform: Any) -> list[str]:
     except AssertionError as error:
         violations.append(f"frame table: {error}")
 
-    from repro.xen.domid import DOM0, DOMID_COW, XEN_OWNER
-
     live = set(host.vms)
-    accounted = live | {DOM0, DOMID_COW, XEN_OWNER}
-    for owner, owned in sorted(host.frames._owned.items()):
-        if owner in accounted or not owned:
-            continue
-        violations.append(
-            f"dead VMM process {owner} still owns {owned} frames")
+    violations += _dead_owners(host.frames, live, "dead VMM process")
 
     for vm in host.vms.values():
         for child in vm.children:
@@ -192,10 +206,7 @@ def audit_kvm_platform(platform: Any) -> list[str]:
     for port in host.bridge.ports:
         if port not in live_ports:
             violations.append(f"bridge holds dead tap {port.name}")
-    for name, bond in host.bonds.items():
-        for port in bond.slaves:
-            if port not in live_ports:
-                violations.append(f"bond {name} holds dead slave {port.name}")
+    violations += _bond_leaks(host.bonds, live_ports)
     return violations
 
 

@@ -228,7 +228,7 @@ class KvmCloneOp:
         """
         host = self.host
         if child.net is not None:
-            host.detach_port(child.net.port)
+            host.detach_port(child.net.port, child.net.ip)
         if child.vmm_extent is not None:
             host.frames.free_extent(child.vmm_extent)
         if child.paging is not None:

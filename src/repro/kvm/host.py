@@ -48,7 +48,9 @@ class KvmHost:
         # exactly like Dom0's switching fabric.
         self.bridge = Bridge("br0")
         self.bonds: dict[str, BondInterface] = {}
+        #: Guest IP -> family bond; retired with its last slave.
         self._family_switch: dict[str, BondInterface] = {}
+        self._bond_names = itertools.count()
         #: Host-side UDP listeners (port -> handler) behind an uplink.
         from repro.net.packets import Port
 
@@ -111,21 +113,26 @@ class KvmHost:
         """The bond aggregating the clone family that owns ``ip``."""
         bond = self._family_switch.get(ip)
         if bond is None:
-            bond = BondInterface(f"bond-{len(self.bonds)}")
+            bond = BondInterface(f"bond-{next(self._bond_names)}")
             self.bonds[bond.name] = bond
             self._family_switch[ip] = bond
         return bond
 
-    def detach_port(self, port) -> None:
-        """Unplug a tap from the bridge and from any family bond.
+    def detach_port(self, port, ip: str) -> None:
+        """Unplug a tap from the bridge and from the family bond of
+        ``ip``, retiring the bond when that was its last slave.
 
         Safe to call for ports that were never attached (both the
         bridge and the bonding driver treat unknown ports as no-ops),
         which keeps VM teardown idempotent under fault unwinding.
         """
         self.bridge.detach(port)
-        for bond in self.bonds.values():
+        bond = self._family_switch.get(ip)
+        if bond is not None:
             bond.release(port)
+            if not bond.slave_count:
+                del self.bonds[bond.name]
+                del self._family_switch[ip]
 
     @property
     def free_bytes(self) -> int:

@@ -117,7 +117,7 @@ class KvmVm:
         if self.net is not None:
             # The tap goes away with the VMM: unplug it from the bridge
             # and from the family bond so neither keeps a dead slave.
-            self.host.detach_port(self.net.port)
+            self.host.detach_port(self.net.port, self.net.ip)
         freed = self.memory.release()
         from repro.xen.paging import release_paging
 

@@ -47,6 +47,11 @@ class BondInterface:
         """The enslaved ports, in enslave order."""
         return list(self._slaves)
 
+    @property
+    def slave_count(self) -> int:
+        """How many ports are enslaved (0: the family is gone)."""
+        return len(self._slaves)
+
     def enslave(self, port: Port) -> None:
         """Add a slave interface (identical MAC/IP to its siblings)."""
         self._slaves[port] = None

@@ -37,6 +37,11 @@ class OvsGroup:
         """The select-group buckets, in add order."""
         return list(self._buckets)
 
+    @property
+    def bucket_count(self) -> int:
+        """How many buckets the group has (0: the family is gone)."""
+        return len(self._buckets)
+
     def add_bucket(self, port: Port) -> None:
         """Add a select-group bucket."""
         self._buckets[port] = None

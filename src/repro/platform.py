@@ -26,6 +26,7 @@ from repro.sim.units import GIB
 from repro.toolstack.dom0 import Dom0
 from repro.toolstack.xl import XL
 from repro.xen.domctl import DomCtl
+from repro.xen.domid import is_reserved
 from repro.xen.hypervisor import Hypervisor
 from repro.xenstore.store import XenstoreDaemon
 
@@ -153,15 +154,19 @@ class Platform:
         return len(self.hypervisor.domains)
 
     def check_invariants(self) -> None:
-        """Frame-conservation and family-tree sanity checks."""
+        """Frame-conservation, family-tree and reserved-domid sanity
+        checks."""
         self.hypervisor.frames.check_invariants()
         for domain in self.hypervisor.domains.values():
-            if domain.parent_id is not None:
-                parent = self.hypervisor.domains.get(domain.parent_id)
-                if parent is not None and domain.domid not in parent.children:
-                    raise AssertionError(
-                        f"family link broken: {domain.domid} not in "
-                        f"children of {domain.parent_id}")
+            if is_reserved(domain.domid):
+                raise AssertionError(
+                    f"live domain {domain.name!r} has reserved domid "
+                    f"{domain.domid:#x}")
+            parent = self.hypervisor.parent_of(domain)
+            if parent is not None and domain.domid not in parent.children:
+                raise AssertionError(
+                    f"family link broken: {domain.domid} not in "
+                    f"children of {domain.parent_id}")
         for child_domid in self.cloneop._pending:
             if child_domid not in self.hypervisor.domains:
                 raise AssertionError(

@@ -9,6 +9,7 @@ hypervisor split (§6.2), and Fig 5 reports both "Dom0 free" and
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable
 
 from repro.devices.console import ConsoleBackendDaemon
@@ -57,8 +58,13 @@ class Dom0:
             "xenbr0": Bridge("xenbr0", tracer=hypervisor.tracer)}
         self.bonds: dict[str, BondInterface] = {}
         self.ovs_groups: dict[int, OvsGroup] = {}
-        #: Guest IP -> aggregation switch for clone families.
+        #: Guest IP -> aggregation switch for clone families. A switch
+        #: is retired once its last member leaves, so a reused IP starts
+        #: a fresh family; names and group IDs come from counters and
+        #: never collide.
         self._family_switch: dict[str, object] = {}
+        self._bond_names = itertools.count()
+        self._ovs_group_ids = itertools.count(1)
 
         # Host network endpoint (the "uplink" the experiments talk to).
         self._listeners: dict[int, HostListener] = {}
@@ -107,8 +113,9 @@ class Dom0:
 
     def _unplug(self, event: UdevEvent) -> None:
         """Release a dead vif's port from its clone-family aggregation
-        switch (bond slave / OVS bucket). Bridge detach is handled by
-        the netback driver itself; both release paths are idempotent."""
+        switch (bond slave / OVS bucket), retiring the switch when that
+        was its last member. Bridge detach is handled by the netback
+        driver itself; both release paths are idempotent."""
         ip = event.properties.get("ip")
         port = event.properties.get("port")
         if ip is None or port is None:
@@ -116,8 +123,14 @@ class Dom0:
         switch = self._family_switch.get(ip)
         if isinstance(switch, BondInterface):
             switch.release(port)
+            if not switch.slave_count:
+                del self.bonds[switch.name]
+                del self._family_switch[ip]
         elif isinstance(switch, OvsGroup):
             switch.remove_bucket(port)
+            if not switch.bucket_count:
+                del self.ovs_groups[switch.group_id]
+                del self._family_switch[ip]
 
     def _vif_bridge(self, domid: int, index: int) -> str:
         path = f"/local/domain/0/backend/vif/{domid}/{index}/bridge"
@@ -134,7 +147,7 @@ class Dom0:
         switch = self._family_switch.get(ip)
         if isinstance(switch, BondInterface):
             return switch
-        bond = BondInterface(f"bond-{len(self.bonds)}")
+        bond = BondInterface(f"bond-{next(self._bond_names)}")
         self.bonds[bond.name] = bond
         self._family_switch[ip] = bond
         return bond
@@ -144,7 +157,7 @@ class Dom0:
         switch = self._family_switch.get(ip)
         if isinstance(switch, OvsGroup):
             return switch
-        group = OvsGroup(group_id=len(self.ovs_groups) + 1)
+        group = OvsGroup(group_id=next(self._ovs_group_ids))
         self.ovs_groups[group.group_id] = group
         self._family_switch[ip] = group
         return group

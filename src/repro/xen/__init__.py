@@ -19,6 +19,7 @@ from repro.xen.domid import (
 from repro.xen.errors import (
     XenError,
     XenBusyError,
+    XenDomidExhaustedError,
     XenInvalidError,
     XenNoEntryError,
     XenNoMemoryError,
@@ -50,6 +51,7 @@ __all__ = [
     "DOMID_INVALID",
     "XenError",
     "XenNoMemoryError",
+    "XenDomidExhaustedError",
     "XenPermissionError",
     "XenInvalidError",
     "XenNoEntryError",

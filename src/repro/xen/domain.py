@@ -56,6 +56,8 @@ class Domain:
         if vcpu_count < 1:
             raise XenInvalidError(f"domain needs at least one vCPU: {vcpu_count}")
         self.domid = domid
+        #: Creation order on the hypervisor (domids wrap, this does not).
+        self.serial = 0
         self.name = name
         self.privileged = privileged
         self.state = DomainState.CREATED

@@ -15,6 +15,10 @@ class XenNoMemoryError(XenError):
     errno_name = "ENOMEM"
 
 
+class XenDomidExhaustedError(XenNoMemoryError):
+    """Every guest domain ID is live (ENOMEM from the domid space)."""
+
+
 class XenPermissionError(XenError):
     """Caller is not allowed to perform the operation (EPERM)."""
 

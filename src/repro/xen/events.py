@@ -56,6 +56,9 @@ class EventChannel:
     state: ChannelState = ChannelState.UNBOUND
     #: Peer domain; DOMID_CHILD marks a Nephele IDC wildcard channel.
     remote_domid: int | None = None
+    #: The peer's creation serial when known: a later domain that
+    #: reuses ``remote_domid`` is not the peer.
+    remote_serial: int | None = None
     remote_port: int | None = None
     virq: int | None = None
     pending: bool = False
@@ -159,6 +162,7 @@ class EventChannelTable:
                 owner=child_domid,
                 state=channel.state,
                 remote_domid=channel.remote_domid,
+                remote_serial=channel.remote_serial,
                 remote_port=channel.remote_port,
                 virq=channel.virq,
                 masked=channel.masked,

@@ -14,8 +14,9 @@ from repro.faults.injector import NULL_INJECTOR
 from repro.obs.tracer import NULL_TRACER
 from repro.sim import CostModel, VirtualClock, pages_of
 from repro.xen.domain import SPECIAL_PAGES, Domain, DomainState
-from repro.xen.domid import DOM0, DOMID_CHILD, XEN_OWNER
+from repro.xen.domid import DOM0, DOMID_CHILD, DOMID_FIRST_RESERVED, XEN_OWNER
 from repro.xen.errors import (
+    XenDomidExhaustedError,
     XenInvalidError,
     XenNoEntryError,
     XenPermissionError,
@@ -60,12 +61,20 @@ class Hypervisor:
         #: per-sample accounting never scans the domain table.
         self.guest_count = 0
         self._next_domid = 1
+        #: One past the highest guest domid: the allocator wraps back
+        #: to 1 here (Xen's first reserved ID; tests inject less).
+        self.domid_limit = DOMID_FIRST_RESERVED
+        #: Domains ever created. Each domain keeps its creation serial,
+        #: so "created since" survives domid reuse after a wrap.
+        self.domains_created = 0
         #: Host-side vIRQ subscribers (e.g. xencloned on VIRQ_CLONED),
         #: keyed by virq number. Delivery also goes through guest
         #: event-channel bindings made via :meth:`bind_virq`.
         self._virq_handlers: dict[int, list[VirqHandler]] = {}
-        #: virq -> list of (domid, port) guest bindings.
-        self._virq_bindings: dict[int, list[tuple[int, int]]] = {}
+        #: virq -> list of (domid, creation serial, port) guest bindings;
+        #: the serial tells a dead domain's binding from a domain that
+        #: reuses its domid after a wrap.
+        self._virq_bindings: dict[int, list[tuple[int, int, int]]] = {}
         #: The CLONEOP hypercall implementation (repro.core.cloneop).
         self._cloneop: Any = None
         #: Deferred VIRQ_CLONED sends awaiting a coalesced flush.
@@ -84,10 +93,24 @@ class Hypervisor:
     # domain lifecycle
     # ------------------------------------------------------------------
     def allocate_domid(self) -> int:
-        """Hand out the next domain ID."""
-        domid = self._next_domid
-        self._next_domid += 1
-        return domid
+        """Hand out the next free domain ID.
+
+        IDs rise from 1; at ``domid_limit`` the allocator wraps to 1 and
+        skips IDs that are still live, so a long-running host recycles
+        IDs instead of reaching the reserved ones. ENOMEM when every
+        guest ID is live.
+        """
+        domid, limit = self._next_domid, self.domid_limit
+        for _ in range(limit - 1):
+            if domid >= limit:
+                domid = 1
+            if domid not in self.domains:
+                self._next_domid = domid + 1
+                return domid
+            domid += 1
+        raise XenDomidExhaustedError(
+            f"domid space exhausted: all {limit - 1} guest IDs "
+            f"(1..{limit - 1:#x}) are live")
 
     def create_domain(self, name: str, memory_bytes: int, vcpus: int = 1,
                       privileged: bool = False, populate: bool = False,
@@ -142,6 +165,8 @@ class Hypervisor:
             raise
 
         self.domains[domid] = domain
+        domain.serial = self.domains_created
+        self.domains_created += 1
         if not privileged:
             self.guest_count += 1
         self.scheduler.add_domain(domain)
@@ -203,17 +228,16 @@ class Hypervisor:
         # wildcard endpoints pointing at this clone (send_event already
         # skips dead domains; this keeps the endpoint lists from
         # accumulating garbage across clone/destroy churn).
-        if domain.parent_id is not None:
-            parent = self.domains.get(domain.parent_id)
-            if parent is not None:
-                if domid in parent.children:
-                    parent.children.remove(domid)
-                for channel in parent.events.ports.values():
-                    if channel.child_endpoints:
-                        channel.child_endpoints[:] = [
-                            (child, port)
-                            for child, port in channel.child_endpoints
-                            if child != domid]
+        parent = self.parent_of(domain)
+        if parent is not None:
+            if domid in parent.children:
+                parent.children.remove(domid)
+            for channel in parent.events.ports.values():
+                if channel.child_endpoints:
+                    channel.child_endpoints[:] = [
+                        (child, port)
+                        for child, port in channel.child_endpoints
+                        if child != domid]
         domain.state = DomainState.DEAD
         self.scheduler.remove_domain(domid)
         del self.domains[domid]
@@ -249,16 +273,27 @@ class Hypervisor:
             stack.extend(self.domains[child].children)
         return frozenset(result)
 
+    def parent_of(self, domain: Domain) -> Domain | None:
+        """``domain``'s parent, while it lives.
+
+        A parent is always created before its clone, so a live domain
+        holding ``parent_id`` but created later reuses the domid of a
+        dead parent (after a wrap) and is not the parent.
+        """
+        if domain.parent_id is None:
+            return None
+        parent = self.domains.get(domain.parent_id)
+        if parent is None or parent.serial > domain.serial:
+            return None
+        return parent
+
     def family_of(self, domid: int) -> frozenset[int]:
         """The family: all domains sharing a common ancestor with ``domid``
         (paper §4 definition), including ``domid`` itself."""
-        root = domid
-        while True:
-            parent = self.domains[root].parent_id
-            if parent is None or parent not in self.domains:
-                break
+        root = self.domains[domid]
+        while (parent := self.parent_of(root)) is not None:
             root = parent
-        return frozenset({root}) | self.descendants(root)
+        return frozenset({root.domid}) | self.descendants(root.domid)
 
     # ------------------------------------------------------------------
     # memory metrics (Fig 5)
@@ -297,7 +332,8 @@ class Hypervisor:
         """Bind a guest event channel to a vIRQ (indexed for delivery)."""
         domain = self.get_domain(domid)
         channel = domain.events.bind_virq(virq, handler)
-        self._virq_bindings.setdefault(virq, []).append((domid, channel.port))
+        self._virq_bindings.setdefault(virq, []).append(
+            (domid, domain.serial, channel.port))
         self.clock.charge(self.costs.evtchn_op)
         return channel
 
@@ -317,15 +353,15 @@ class Hypervisor:
         notified = len(handlers)
         bindings = self._virq_bindings.get(virq)
         if bindings:
-            live: list[tuple[int, int]] = []
-            for domid, port in bindings:
+            live: list[tuple[int, int, int]] = []
+            for domid, serial, port in bindings:
                 domain = self.domains.get(domid)
-                if domain is None:
+                if domain is None or domain.serial != serial:
                     continue
                 channel = domain.events.ports.get(port)
                 if channel is None or channel.virq != virq:
                     continue
-                live.append((domid, port))
+                live.append((domid, serial, port))
                 self._deliver(domain, channel)
                 notified += 1
             self._virq_bindings[virq] = live
@@ -359,17 +395,20 @@ class Hypervisor:
         if cache is not None and cache[0] == epoch:
             resolved = cache[1]
         else:
-            targets: list[tuple[int, int]] = []
+            targets: list[tuple[int, int, int | None]] = []
             if (channel.state is ChannelState.INTERDOMAIN
                     and channel.remote_domid is not None
                     and channel.remote_domid != DOMID_CHILD
                     and channel.remote_port is not None):
-                targets.append((channel.remote_domid, channel.remote_port))
-            targets.extend(channel.child_endpoints)
+                targets.append((channel.remote_domid, channel.remote_port,
+                                channel.remote_serial))
+            targets.extend((child, child_port, None)
+                           for child, child_port in channel.child_endpoints)
             resolved = []
-            for target_domid, target_port in targets:
+            for target_domid, target_port, serial in targets:
                 target = self.domains.get(target_domid)
-                if target is None:
+                if target is None or serial not in (None, target.serial):
+                    # Dead peer (or a later domain reusing its domid).
                     continue
                 peer = target.events.ports.get(target_port)
                 if peer is None:
@@ -407,6 +446,7 @@ class Hypervisor:
                 continue
             child_channel.state = ChannelState.INTERDOMAIN
             child_channel.remote_domid = parent.domid
+            child_channel.remote_serial = parent.serial
             child_channel.remote_port = channel.port
             channel.state = ChannelState.INTERDOMAIN
             channel.child_endpoints.append((child.domid, channel.port))

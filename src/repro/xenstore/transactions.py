@@ -49,6 +49,12 @@ class TransactionManager:
         #: Bumped on every committed mutation; per-path generations are
         #: tracked for precise conflict detection.
         self.generation = 0
+        #: Both generation maps hold entries only while a transaction is
+        #: open: a commit conflicts only on a generation above its own
+        #: ``start_generation``, and every transaction starts at the
+        #: current ``generation``, so a record made with none open (or
+        #: kept after the last one closes) can never cause a conflict.
+        #: This keeps a long-running host's store bounded.
         self._path_generation: dict[str, int] = {}
         #: Subtree-granularity generations: ``xs_clone`` records one
         #: entry for the grafted root instead of one per copied node;
@@ -154,7 +160,8 @@ class TransactionManager:
     def record_external_write(self, path: str) -> None:
         """Mark a non-transactional mutation (for conflict detection)."""
         self.generation += 1
-        self._path_generation[path] = self.generation
+        if self._open:
+            self._path_generation[path] = self.generation
 
     def record_subtree_write(self, path: str, nodes: int) -> None:
         """Mark a bulk subtree graft of ``nodes`` nodes rooted at
@@ -163,7 +170,8 @@ class TransactionManager:
         the same amount, and any transaction whose footprint touches
         the subtree conflicts via the prefix check in :meth:`commit`)."""
         self.generation += nodes
-        self._prefix_generation[path.rstrip("/") or "/"] = self.generation
+        if self._open:
+            self._prefix_generation[path.rstrip("/") or "/"] = self.generation
 
     def abort(self, transaction: Transaction) -> None:
         """Discard the transaction's buffered operations."""
@@ -173,6 +181,9 @@ class TransactionManager:
     def _close(self, transaction: Transaction) -> None:
         transaction.closed = True
         self._open.pop(transaction.tid, None)
+        if not self._open:
+            self._path_generation.clear()
+            self._prefix_generation.clear()
 
     @property
     def open_count(self) -> int:
