@@ -16,10 +16,6 @@ additions:
     vcpu-pin <dom> <v> <cpus>  pin a vCPU to physical CPUs
     stats                      full platform snapshot (memory, families)
     faults [sites]             fault-injection counters / site registry
-    fleet storm [hosts kills]  multi-host host-kill storm (repro.fleet)
-    fleet policies             placement policy registry
-    frontdoor [reqs [d]]       request-cloning dispatch smoke (repro.frontdoor)
-    frontdoor storm [faults]   overload-resilience chaos smoke (shed/retry/breaker)
     trace [summary]            per-stage virtual-time breakdown table
     trace spans [kind]         recorded spans (optionally one kind)
     trace export <file.json>   write the machine-readable run report
@@ -29,7 +25,8 @@ additions:
     help / quit
 
 Run interactively (``python -m repro.cli``) or scripted
-(``python -m repro.cli script.xlsh`` / piped stdin).
+(``python -m repro.cli script.xlsh`` / piped stdin). The seeded storms
+run from ``python -m repro.storm``.
 """
 
 from __future__ import annotations
@@ -76,8 +73,6 @@ class XlShell:
             "vcpu-pin": self.cmd_vcpu_pin,
             "stats": self.cmd_stats,
             "faults": self.cmd_faults,
-            "fleet": self.cmd_fleet,
-            "frontdoor": self.cmd_frontdoor,
             "trace": self.cmd_trace,
             "help": self.cmd_help,
         }
@@ -299,87 +294,6 @@ class XlShell:
                         "(create the platform with a fault_plan)")
             return
         self._print(faults.format_report())
-
-    def cmd_fleet(self, args: list[str]) -> None:
-        """fleet storm [hosts kills] | fleet policies"""
-        sub = args[0] if args else "storm"
-        if sub == "policies":
-            from repro.fleet import POLICIES
-
-            for name in sorted(POLICIES):
-                self._print(name)
-            return
-        if sub != "storm" or len(args) > 3:
-            raise CliError("usage: fleet storm [hosts kills] | fleet policies")
-        from repro.fleet import run_fleet_chaos
-        from repro.storm import fleet_summary
-
-        try:
-            hosts = int(args[1]) if len(args) >= 2 else 4
-            kills = int(args[2]) if len(args) >= 3 else 2
-        except ValueError as error:
-            raise CliError(f"bad hosts/kills: {error}") from error
-        # The storm runs on its own fleet (own hosts, own clock); the
-        # shell's single-host platform is untouched.
-        self._print(fleet_summary(run_fleet_chaos(hosts=hosts, kills=kills)))
-
-    def cmd_frontdoor(self, args: list[str]) -> None:
-        """frontdoor [requests [clone-factor]] | frontdoor storm [faults]"""
-        if args and args[0] == "storm":
-            return self._frontdoor_storm(args[1:])
-        if len(args) > 2:
-            raise CliError("usage: frontdoor [requests [clone-factor]] "
-                           "| frontdoor storm [faults]")
-        try:
-            requests = int(args[0]) if args else 2000
-            clone_factor = int(args[1]) if len(args) >= 2 else 2
-        except ValueError as error:
-            raise CliError(f"bad requests/clone-factor: {error}") from error
-        from repro.frontdoor import FleetSession
-
-        # Like `fleet storm`, the smoke run owns its own fleet; the
-        # shell's single-host platform is untouched.
-        with FleetSession(hosts=2) as session:
-            session.create_family("front", ip="10.9.0.1")
-            session.clone("front", count=2 * clone_factor)
-            result = session.dispatch(
-                "front", "faas", requests=requests, arrival_rps=300.0,
-                clone_factor=clone_factor)
-        self._print(f"frontdoor d={result.clone_factor} "
-                    f"requests={result.requests} "
-                    f"completed={result.completed}")
-        self._print(f"  latency ms: p50={result.latency_p50_ms:.3f} "
-                    f"p99={result.latency_p99_ms:.3f} "
-                    f"max={result.latency_max_ms:.3f}")
-        self._print(f"  waste fraction: {result.waste_fraction:.4f}")
-        self._print(f"  fingerprint: {result.fingerprint}")
-
-    def _frontdoor_storm(self, args: list[str]) -> None:
-        """frontdoor storm [faults]: the overload-resilience smoke."""
-        if len(args) > 1:
-            raise CliError("usage: frontdoor storm [faults]")
-        try:
-            faults = int(args[0]) if args else 30
-        except ValueError as error:
-            raise CliError(f"bad faults: {error}") from error
-        from repro.frontdoor.resilience import (
-            format_storm_report,
-            run_overload_storm,
-        )
-
-        # The storm owns its own fleet (own clock, own tracer); fold
-        # its shed/retry/breaker counters into the shell tracer so
-        # `trace summary` surfaces them alongside the datapath counts.
-        report = run_overload_storm(faults=faults)
-        self._print(format_storm_report(report))
-        if self.platform.tracer.enabled:
-            stats = report.stats
-            for key, counter in (("shed", "frontdoor.requests_shed"),
-                                 ("retries", "frontdoor.retries"),
-                                 ("breaker_trips",
-                                  "frontdoor.breaker_trips")):
-                if stats.get(key):
-                    self.platform.tracer.count(counter, stats[key])
 
     def cmd_trace(self, args: list[str]) -> None:
         """trace [summary | spans [kind] | export <file> | reset]"""

@@ -33,22 +33,25 @@ fourth unit runs the 100-fault migration storm
 with pages in flight.
 
 Determinism: all four units run twice — serially and through a
-process pool — and the experiment asserts the two result sets are
-byte-identical before fingerprinting.
+process pool (:func:`~repro.experiments.arms.run_arms`) — and the
+experiment asserts the two result sets are byte-identical before
+fingerprinting.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Any
 
+from repro.errors import ReproError
+from repro.experiments.arms import ArmsResult, run_arms
 from repro.experiments.report import format_table
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.fleet.chaos import audit_fleet
 from repro.fleet.migration import run_migration_chaos
 from repro.frontdoor.session import FleetSession
-from repro.obs.canonical import fingerprint
+from repro.obs.canonical import seal
 
 MIB = 1024 * 1024
 
@@ -77,7 +80,7 @@ def _run_arm(task: tuple[str, int, dict[str, Any]]) -> dict[str, Any]:
             "pages_aborted": report.pages_aborted,
             "faults_fired": report.faults_fired,
             "midstream_audits": report.midstream_audits,
-            "violations": list(report.violations),
+            "violations": [f"storm: {v}" for v in report.violations],
             "fingerprint": report.fingerprint,
         }
 
@@ -104,10 +107,8 @@ def _run_arm(task: tuple[str, int, dict[str, Any]]) -> dict[str, Any]:
     # hosts, so a lost host leaves live-but-overloaded survivors.
     session.clone("web", count=params["clones_origin"])
     session.clone("web", count=params["clones_spill"])
-    migrations: list[dict[str, Any]] = []
     if kind == "drain":
-        drained = session.drain_host(placement.host)
-        migrations = drained["migrations"]
+        session.drain_host(placement.host)
     dispatch = session.dispatch(
         "web", "faas", requests=params["requests"],
         arrival_rps=params["arrival_rps"],
@@ -115,10 +116,10 @@ def _run_arm(task: tuple[str, int, dict[str, Any]]) -> dict[str, Any]:
         label=f"migration-{kind}")
     fleet_stats = dict(session.fleet.stats)
     family = session.handle("GET", "/families/web").body
-    violations = audit_fleet(session.fleet, session.frontdoor)
-    if kind == "drain":
-        migrations = [record.to_dict()
-                      for record in session.fleet.migrations]
+    violations = [f"{kind}: {v}"
+                  for v in audit_fleet(session.fleet, session.frontdoor)]
+    migrations = ([record.to_dict() for record in session.fleet.migrations]
+                  if kind == "drain" else [])
     session.close(check=False)
     return {
         "arm": kind,
@@ -150,37 +151,11 @@ def _run_arm(task: tuple[str, int, dict[str, Any]]) -> dict[str, Any]:
     }
 
 
-@dataclass
-class FleetMigrationResult:
-    """The ablation table plus the storm unit and determinism check."""
+@dataclass(kw_only=True)
+class FleetMigrationResult(ArmsResult):
+    """The drain/kill/baseline table plus the migration storm unit."""
 
-    seed: int
-    hosts: int
     instances: int
-    requests: int
-    arrival_rps: float
-    arms: dict[str, dict[str, Any]] = field(default_factory=dict)
-    storm: dict[str, Any] = field(default_factory=dict)
-    #: True when the pool-executed run matched the serial run exactly.
-    parallel_identical: bool = True
-    violations: list[str] = field(default_factory=list)
-    fingerprint: str = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready representation, the fingerprint payload."""
-        return {
-            "seed": self.seed,
-            "hosts": self.hosts,
-            "instances": self.instances,
-            "requests": self.requests,
-            "arrival_rps": round(self.arrival_rps, 6),
-            "arms": {name: dict(arm)
-                     for name, arm in sorted(self.arms.items())},
-            "storm": dict(self.storm),
-            "parallel_identical": self.parallel_identical,
-            "violations": list(self.violations),
-            "fingerprint": self.fingerprint,
-        }
 
 
 def run(seed: int = 0xC10E, *, hosts: int = 3, clones_origin: int = 6,
@@ -196,6 +171,11 @@ def run(seed: int = 0xC10E, *, hosts: int = 3, clones_origin: int = 6,
     mirroring where the drain arm's cutover lands, so both arms lose
     their host at a comparable point in the request stream.
     """
+    for name, value in (("arrival_rps", arrival_rps),
+                        ("heartbeat_every_ms", heartbeat_every_ms)):
+        if not (math.isfinite(value) and value > 0):
+            raise ReproError(f"'{name}' must be a finite number > 0, "
+                             f"got {value}")
     if kill_tick is None:
         duration_ms = requests / arrival_rps * 1000.0
         kill_tick = max(2, int(duration_ms / heartbeat_every_ms / 4))
@@ -207,27 +187,12 @@ def run(seed: int = 0xC10E, *, hosts: int = 3, clones_origin: int = 6,
         "kill_tick": kill_tick, "faults": storm_faults,
         "storm_rounds": storm_rounds,
     }
-    tasks = [(kind, seed, params)
-             for kind in ("baseline", "drain", "kill", "storm")]
-    serial = [_run_arm(task) for task in tasks]
     result = FleetMigrationResult(
         seed=seed, hosts=hosts,
         instances=2 + clones_origin + clones_spill,
-        requests=requests, arrival_rps=arrival_rps)
-    with multiprocessing.get_context("fork").Pool(2) as pool:
-        pooled = pool.map(_run_arm, tasks)
-    result.parallel_identical = pooled == serial
-    if not result.parallel_identical:
-        result.violations.append("parallel run diverged from serial run")
-
-    for unit in serial:
-        name = unit.pop("arm")
-        if name == "storm":
-            result.storm = unit
-        else:
-            result.arms[name] = unit
-        result.violations.extend(
-            f"{name}: {violation}" for violation in unit["violations"])
+        requests=requests, arrival_rps=round(arrival_rps, 6))
+    run_arms(result, _run_arm, [(kind, seed, params) for kind in
+                                ("baseline", "drain", "kill", "storm")])
 
     drain = result.arms["drain"]
     kill = result.arms["kill"]
@@ -251,11 +216,7 @@ def run(seed: int = 0xC10E, *, hosts: int = 3, clones_origin: int = 6,
         result.violations.append(
             f"drain P99 {drain['p99_ms']} ms is not a bounded blip over "
             f"baseline {baseline['p99_ms']} ms")
-
-    payload = result.to_dict()
-    payload.pop("fingerprint")
-    result.fingerprint = fingerprint(payload)
-    return result
+    return seal(result)
 
 
 def run_quick(seed: int = 0xC10E) -> FleetMigrationResult:
@@ -291,10 +252,4 @@ def format_result(result: FleetMigrationResult) -> str:
         f"{storm.get('migrations_failed', 0)} failed, "
         f"{storm.get('pages_streamed', 0)} pages streamed, "
         f"{storm.get('midstream_audits', 0)} mid-stream audits clean")]
-    lines.append("\nserial == parallel: "
-                 + ("yes" if result.parallel_identical else "NO"))
-    if result.violations:
-        lines.append(f"\nVIOLATIONS ({len(result.violations)}):")
-        lines.extend(f"\n  - {violation}"
-                     for violation in result.violations)
-    return "".join(lines)
+    return "".join(lines) + result.verdict()

@@ -31,21 +31,23 @@ flaps) with conservation audits between waves. Each traffic arm also
 audits the fleet *between* its waves — retry budgets and breaker state
 alive, work in flight across the audit — and the experiment requires
 every audit clean. All four units run twice, serially and through a
-process pool, and the two result sets must be byte-identical.
+process pool (:func:`~repro.experiments.arms.run_arms`), and the two
+result sets must be byte-identical.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.apps.traffic import as_shape
+from repro.errors import ReproError
+from repro.experiments.arms import ArmsResult, run_arms
 from repro.experiments.report import format_table
 from repro.fleet.chaos import audit_fleet
 from repro.frontdoor.resilience import ResiliencePolicy, run_overload_storm
 from repro.frontdoor.session import FleetSession
-from repro.obs.canonical import fingerprint
+from repro.obs.canonical import seal
 
 #: Goodput segments reported per wave (offered load is flat across
 #: them by construction, so the series *is* the goodput curve).
@@ -165,37 +167,11 @@ def _run_arm(task: tuple[str, int, dict[str, Any]]) -> dict[str, Any]:
     }
 
 
-@dataclass
-class FrontdoorOverloadResult:
-    """The ablation table plus the storm unit and determinism check."""
+@dataclass(kw_only=True)
+class FrontdoorOverloadResult(ArmsResult):
+    """The baseline/unprotected/protected table plus the storm unit."""
 
-    seed: int
-    hosts: int
     replicas: int
-    requests: int
-    arrival_rps: float
-    arms: dict[str, dict[str, Any]] = field(default_factory=dict)
-    storm: dict[str, Any] = field(default_factory=dict)
-    #: True when the pool-executed run matched the serial run exactly.
-    parallel_identical: bool = True
-    violations: list[str] = field(default_factory=list)
-    fingerprint: str = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready representation, the fingerprint payload."""
-        return {
-            "seed": self.seed,
-            "hosts": self.hosts,
-            "replicas": self.replicas,
-            "requests": self.requests,
-            "arrival_rps": round(self.arrival_rps, 6),
-            "arms": {name: dict(arm)
-                     for name, arm in sorted(self.arms.items())},
-            "storm": dict(self.storm),
-            "parallel_identical": self.parallel_identical,
-            "violations": list(self.violations),
-            "fingerprint": self.fingerprint,
-        }
 
 
 def run(seed: int = 0xC10E, *, shape: str = "faas", hosts: int = 4,
@@ -213,6 +189,8 @@ def run(seed: int = 0xC10E, *, shape: str = "faas", hosts: int = 4,
     (rho_eff > 1): the unprotected arm must collapse and the protected
     arm must shed its way back to a bounded tail.
     """
+    if waves < 1:
+        raise ReproError(f"'waves' must be >= 1, got {waves}")
     request_shape = as_shape(shape)
     arrival_rps = utilization * replicas * request_shape.capacity_rps
     params = {
@@ -225,25 +203,12 @@ def run(seed: int = 0xC10E, *, shape: str = "faas", hosts: int = 4,
         "deadline_ms": deadline_ms,
         "storm_requests": storm_requests, "storm_faults": storm_faults,
     }
-    tasks = [(kind, seed, params)
-             for kind in ("baseline", "unprotected", "protected", "storm")]
-    serial = [_run_arm(task) for task in tasks]
     result = FrontdoorOverloadResult(
         seed=seed, hosts=hosts, replicas=replicas, requests=requests,
-        arrival_rps=arrival_rps)
-    with multiprocessing.get_context("fork").Pool(2) as pool:
-        pooled = pool.map(_run_arm, tasks)
-    result.parallel_identical = pooled == serial
-    if not result.parallel_identical:
-        result.violations.append("parallel run diverged from serial run")
-
-    for unit in serial:
-        name = unit.pop("arm")
-        if name == "storm":
-            result.storm = unit
-        else:
-            result.arms[name] = unit
-        result.violations.extend(unit["violations"])
+        arrival_rps=round(arrival_rps, 6))
+    run_arms(result, _run_arm, [(kind, seed, params) for kind in
+                                ("baseline", "unprotected", "protected",
+                                 "storm")])
 
     baseline = result.arms["baseline"]
     unprotected = result.arms["unprotected"]
@@ -293,11 +258,7 @@ def run(seed: int = 0xC10E, *, shape: str = "faas", hosts: int = 4,
         result.violations.append(
             f"protected retries {protected['retries']} exceed the 10% "
             f"budget of {protected['offered']} first tries")
-
-    payload = result.to_dict()
-    payload.pop("fingerprint")
-    result.fingerprint = fingerprint(payload)
-    return result
+    return seal(result)
 
 
 def run_quick(seed: int = 0xC10E) -> FrontdoorOverloadResult:
@@ -340,10 +301,4 @@ def format_result(result: FrontdoorOverloadResult) -> str:
         f"{storm.get('shed', 0)} shed, {storm.get('retries', 0)} "
         f"retries, {storm.get('breaker_trips', 0)} breaker trips, "
         f"audits clean: {not storm.get('violations')}")
-    lines.append("\nserial == parallel: "
-                 + ("yes" if result.parallel_identical else "NO"))
-    if result.violations:
-        lines.append(f"\nVIOLATIONS ({len(result.violations)}):")
-        lines.extend(f"\n  - {violation}"
-                     for violation in result.violations)
-    return "".join(lines)
+    return "".join(lines) + result.verdict()

@@ -38,7 +38,7 @@ from repro.frontdoor.dispatch import AutoscalePolicy
 from repro.frontdoor.model import measured_rho_eff, quantile_sojourn_ms
 from repro.frontdoor.results import DispatchResult
 from repro.frontdoor.session import FleetSession
-from repro.obs.canonical import fingerprint
+from repro.obs.canonical import seal
 
 #: rho_eff above this is "at the knee": the open-loop backlog grows for
 #: as long as arrivals continue, so the measured tail is a function of
@@ -196,11 +196,7 @@ def run(seed: int = 0xC10E, *, shape: str = "faas",
             arrival_rps=arrival_rps / 2.0)
         result.total_requests += result.composed["requests"]
         result.violations.extend(result.composed.pop("violations"))
-
-    payload = result.to_dict()
-    payload.pop("fingerprint")
-    result.fingerprint = fingerprint(payload)
-    return result
+    return seal(result)
 
 
 def _run_composed(seed: int, shape_name: str, *, hosts: int,

@@ -7,7 +7,7 @@ then tears everything down and audits the platform for leaked frames,
 grants, event endpoints, Xenstore nodes and bond slaves. The report
 carries a fingerprint over every deterministic output, so two runs at
 the same seed must produce byte-identical reports — the property the
-chaos-smoke CI job pins.
+storm-smoke CI job pins.
 
 Platform construction is imported lazily: this module is re-exported
 by :mod:`repro.faults`, which the hypervisor imports, so a module-level
@@ -16,21 +16,22 @@ platform import would cycle.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.errors import ReproError
 from repro.faults.plan import FaultPlan
-from repro.obs.canonical import fingerprint
+from repro.obs.canonical import Sealed, seal
 from repro.xen.domid import DOM0, DOMID_COW, XEN_OWNER, is_reserved
 
 
 @dataclass
-class ChaosReport:
+class ChaosReport(Sealed):
     """The deterministic outcome of one chaos run."""
 
     seed: int
-    plan_name: str
+    plan: str
     #: sha256 over the canonical JSON of every deterministic field.
     fingerprint: str = ""
     clones_attempted: int = 0
@@ -41,20 +42,32 @@ class ChaosReport:
     fault_stats: dict[str, Any] = field(default_factory=dict)
     clock_ms: float = 0.0
 
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable form (what the CLI prints with --json)."""
-        return {
-            "seed": self.seed,
-            "plan": self.plan_name,
-            "fingerprint": self.fingerprint,
-            "clones_attempted": self.clones_attempted,
-            "clones_succeeded": self.clones_succeeded,
-            "clone_errors": self.clone_errors,
-            "txn_attempts": self.txn_attempts,
-            "violations": list(self.violations),
-            "fault_stats": self.fault_stats,
-            "clock_ms": self.clock_ms,
-        }
+
+@contextmanager
+def disarmed(faults: Any) -> Iterator[None]:
+    """Hold injection off while a storm sets up the state whose failure
+    it is not studying (booting the parents it will then clone)."""
+    if faults.enabled:
+        faults.active = False
+    try:
+        yield
+    finally:
+        if faults.enabled:
+            faults.active = True
+
+
+def touch_first_segments(children: Iterable[Any], rng: Any,
+                         max_pages: int = 4) -> None:
+    """COW-write 1..``max_pages`` pages at the start of each child's
+    first memory segment; ``None`` (a child already gone) is skipped."""
+    for child in children:
+        if child is None or not child.memory.segments:
+            continue
+        try:
+            child.memory.write_range(child.memory.segments[0].pfn_start,
+                                     rng.randint(1, max_pages))
+        except ReproError:
+            pass
 
 
 def audit_platform(platform: Any) -> list[str]:
@@ -210,20 +223,99 @@ def audit_kvm_platform(platform: Any) -> list[str]:
     return violations
 
 
+def _chaos_run(platform: Any, plan: FaultPlan, guests: dict[int, Any],
+               audit: Callable[[Any], list[str]], *, seed: int,
+               faults: int, parents: int, rounds: int | None, batch: int,
+               boot: Callable[[int], int],
+               clone: Callable[..., list[int]],
+               destroy: Callable[[int], Any],
+               ip_of: Callable[[Any], str | None],
+               send_to_guest: Callable[..., Any],
+               transaction: Callable[[int, int], Any] | None = None,
+               ) -> ChaosReport:
+    """The chaos workload both backends run: boot, rounds, teardown,
+    audit, seal.
+
+    ``guests`` is the backend's live id -> guest map; the callables are
+    its boot/clone/destroy verbs, the family address of a parent and the
+    host-to-guest send. ``transaction`` is the one backend-specific
+    round step (a Xenstore update; KVM has no store). Every step that
+    can fail is wrapped: an injected fault may abort a clone batch (or a
+    single child within one), and the workload keeps going. ``rounds``
+    defaults to scaling with the fault budget so the workload outlives
+    the armed specs: the run must also exercise the no-fault-left steady
+    state, not just back-to-back failures.
+    """
+    if rounds is None:
+        rounds = max(3, (faults * 3) // 4)
+    report = ChaosReport(seed=seed, plan=plan.name)
+    rng = platform.rng.fork("chaos-workload")
+    with disarmed(platform.faults):
+        roots = [boot(i) for i in range(parents)]
+    for round_index in range(rounds):
+        for root in roots:
+            if root not in guests:
+                continue
+            report.clones_attempted += batch
+            try:
+                children = clone(root, count=batch)
+            except ReproError:
+                report.clone_errors += 1
+                children = []
+            report.clones_succeeded += len(children)
+            touch_first_segments(map(guests.get, children), rng)
+
+            if transaction is not None:
+                try:
+                    transaction(root, round_index)
+                    report.txn_attempts += 1
+                except ReproError:
+                    report.clone_errors += 1
+
+            # Host traffic towards the family (exercises bond/OVS).
+            parent = guests.get(root)
+            ip = ip_of(parent) if parent is not None and parent.children \
+                else None
+            if ip is not None:
+                try:
+                    send_to_guest(ip, 9000, payload=round_index,
+                                  src_port=40000 + round_index)
+                except ReproError:
+                    pass
+
+            # Destroy one child per round: teardown interleaved with
+            # injection must not leak either.
+            if children:
+                victim = children[rng.randint(0, len(children) - 1)]
+                try:
+                    destroy(victim)
+                except ReproError:
+                    report.clone_errors += 1
+
+    # Full teardown: every guest goes; the audit must be clean.
+    for guest in sorted(guests):
+        try:
+            destroy(guest)
+        except ReproError:
+            report.clone_errors += 1
+    report.violations = audit(platform)
+    report.fault_stats = platform.faults.report() \
+        if platform.faults.enabled else {}
+    report.clock_ms = round(platform.clock.now, 6)
+    return seal(report)
+
+
 def run_kvm_chaos(seed: int = 0xC10E, faults: int = 100,
                   plan: FaultPlan | None = None, parents: int = 2,
                   batch: int = 3, rounds: int | None = None) -> ChaosReport:
     """The chaos workload against the KVM backend.
 
-    Same shape as :func:`run_chaos` — boot parents disarmed, then clone
-    batches, COW writes, family traffic and interleaved destroys under
-    injection, full teardown, leak audit, deterministic fingerprint.
-    Randomized plans draw from :data:`repro.faults.sites.KVM_SITES`,
-    the registry slice the KVM_CLONE_VM path fires. There is no
-    Xenstore on this backend, so ``txn_attempts`` stays zero.
+    The :func:`run_chaos` workload on a :class:`~repro.kvm.platform.
+    KvmPlatform`: randomized plans draw from
+    :data:`repro.faults.sites.KVM_SITES`, the registry slice the
+    KVM_CLONE_VM path fires. There is no Xenstore on this backend, so
+    ``txn_attempts`` stays zero.
     """
-    if rounds is None:
-        rounds = max(3, (faults * 3) // 4)
     from repro.apps.udp_server import UdpServerApp
     from repro.faults.sites import KVM_SITES
     from repro.kvm.platform import KvmPlatform
@@ -233,72 +325,18 @@ def run_kvm_chaos(seed: int = 0xC10E, faults: int = 100,
         plan = FaultPlan.randomized(seed, faults=faults,
                                     sites=list(KVM_SITES))
     platform = KvmPlatform(seed=seed, fault_plan=plan)
-    report = ChaosReport(seed=seed, plan_name=plan.name)
-    rng = platform.rng.fork("chaos-workload")
 
-    if platform.faults.enabled:
-        platform.faults.active = False
-    roots: list[int] = []
-    for i in range(parents):
-        vm = platform.create_vm(f"chaos{i}", 16 * MIB,
-                                ip=f"10.0.9.{i + 1}", max_clones=256,
-                                app=UdpServerApp())
-        roots.append(vm.pid)
-    if platform.faults.enabled:
-        platform.faults.active = True
+    def boot(i: int) -> int:
+        return platform.create_vm(f"chaos{i}", 16 * MIB,
+                                  ip=f"10.0.9.{i + 1}", max_clones=256,
+                                  app=UdpServerApp()).pid
 
-    for round_index in range(rounds):
-        for root in roots:
-            report.clones_attempted += batch
-            try:
-                children = platform.clone(root, count=batch)
-            except ReproError:
-                report.clone_errors += 1
-                children = []
-            report.clones_succeeded += len(children)
-
-            for child_pid in children:
-                child = platform.host.vms.get(child_pid)
-                if child is None or not child.memory.segments:
-                    continue
-                try:
-                    child.memory.write_range(
-                        child.memory.segments[0].pfn_start,
-                        rng.randint(1, 4))
-                except ReproError:
-                    pass
-
-            parent = platform.host.vms.get(root)
-            if parent is not None and parent.children \
-                    and parent.net is not None:
-                try:
-                    platform.host.send_to_guest(
-                        parent.net.ip, 9000, payload=round_index,
-                        src_port=40000 + round_index)
-                except ReproError:
-                    pass
-
-            if children:
-                victim = children[rng.randint(0, len(children) - 1)]
-                try:
-                    platform.destroy(victim)
-                except ReproError:
-                    report.clone_errors += 1
-
-    for pid in sorted(platform.host.vms):
-        try:
-            platform.destroy(pid)
-        except ReproError:
-            report.clone_errors += 1
-
-    report.violations = audit_kvm_platform(platform)
-    report.fault_stats = platform.faults.report() \
-        if platform.faults.enabled else {}
-    report.clock_ms = round(platform.clock.now, 6)
-    payload = report.to_dict()
-    payload.pop("fingerprint")
-    report.fingerprint = fingerprint(payload)
-    return report
+    return _chaos_run(
+        platform, plan, platform.host.vms, audit_kvm_platform, seed=seed,
+        faults=faults, parents=parents, rounds=rounds, batch=batch,
+        boot=boot, clone=platform.clone, destroy=platform.destroy,
+        ip_of=lambda vm: vm.net.ip if vm.net is not None else None,
+        send_to_guest=platform.host.send_to_guest)
 
 
 def run_chaos(seed: int = 0xC10E, faults: int = 100,
@@ -306,17 +344,12 @@ def run_chaos(seed: int = 0xC10E, faults: int = 100,
               batch: int = 3, rounds: int | None = None) -> ChaosReport:
     """One chaos run: workload under injection, teardown, audit.
 
-    Every step that can fail is wrapped: an injected fault may abort a
-    clone batch (or a single child within one), and the workload keeps
-    going — exactly the graceful degradation the hardening promises.
-    ``rounds`` defaults to scaling with the fault budget so the workload
-    outlives the armed specs: the run must also exercise the
-    no-fault-left steady state, not just back-to-back failures.
-    Returns a :class:`ChaosReport` whose fingerprint covers all
-    deterministic outputs.
+    The parents boot with injection disarmed (the chaos target is the
+    *clone* paths); then each round clones a batch per parent, COW-writes
+    the children, commits a Xenstore transaction, sends host traffic to
+    the family and destroys one child. Returns a :class:`ChaosReport`
+    whose fingerprint covers all deterministic outputs.
     """
-    if rounds is None:
-        rounds = max(3, (faults * 3) // 4)
     from repro.apps.udp_server import UdpServerApp
     from repro.platform import Platform
     from repro.toolstack.config import DomainConfig, VifConfig
@@ -324,93 +357,26 @@ def run_chaos(seed: int = 0xC10E, faults: int = 100,
     if plan is None:
         plan = FaultPlan.randomized(seed, faults=faults)
     platform = Platform.create(seed=seed, fault_plan=plan)
-    report = ChaosReport(seed=seed, plan_name=plan.name)
-    rng = platform.rng.fork("chaos-workload")
-    handle = platform.dom0.handle
 
-    # The chaos target is the *clone* paths: boot the parent fleet with
-    # injection disarmed, then arm it for the workload.
-    if platform.faults.enabled:
-        platform.faults.active = False
-    roots: list[int] = []
-    for i in range(parents):
+    def boot(i: int) -> int:
         config = DomainConfig(name=f"chaos{i}", memory_mb=4,
                               vifs=[VifConfig(ip=f"10.0.9.{i + 1}")],
                               max_clones=256)
-        domain = platform.xl.create(config, app=UdpServerApp())
-        roots.append(domain.domid)
-    if platform.faults.enabled:
-        platform.faults.active = True
+        return platform.xl.create(config, app=UdpServerApp()).domid
 
-    for round_index in range(rounds):
-        for root in roots:
-            parent = platform.hypervisor.domains.get(root)
-            if parent is None:
-                continue
-            report.clones_attempted += batch
-            try:
-                children = platform.xl.clone(root, count=batch)
-            except ReproError:
-                report.clone_errors += 1
-                children = []
-            report.clones_succeeded += len(children)
+    def ip_of(domain: Any) -> str | None:
+        vifs = domain.frontends.get("vif")
+        return vifs[0].ip if vifs else None
 
-            # Touch clone memory: deterministic COW writes.
-            for child_domid in children:
-                child = platform.hypervisor.domains.get(child_domid)
-                if child is None or not child.memory.segments:
-                    continue
-                try:
-                    child.memory.write_range(
-                        child.memory.segments[0].pfn_start,
-                        rng.randint(1, 4))
-                except ReproError:
-                    pass
+    def transaction(root: int, round_index: int) -> None:
+        path = f"/chaos/round{round_index}/d{root}"
+        platform.dom0.handle.run_transaction(
+            lambda h, tid: h.t_write(tid, path, str(round_index)))
 
-            # Transactional Xenstore update with bounded retry.
-            def _bump(h: Any, tid: int,
-                      path: str = f"/chaos/round{round_index}/d{root}") -> None:
-                h.t_write(tid, path, str(round_index))
+    return _chaos_run(
+        platform, plan, platform.hypervisor.domains, audit_platform,
+        seed=seed, faults=faults, parents=parents, rounds=rounds,
+        batch=batch, boot=boot, clone=platform.xl.clone,
+        destroy=platform.xl.destroy, ip_of=ip_of,
+        send_to_guest=platform.dom0.send_to_guest, transaction=transaction)
 
-            try:
-                handle.run_transaction(_bump)
-                report.txn_attempts += 1
-            except ReproError:
-                report.clone_errors += 1
-
-            # Host traffic towards the family (exercises bond/OVS).
-            parent = platform.hypervisor.domains.get(root)
-            if parent is not None and parent.children:
-                vif = parent.frontends.get("vif")
-                if vif:
-                    try:
-                        platform.dom0.send_to_guest(
-                            vif[0].ip, 9000, payload=round_index,
-                            src_port=40000 + round_index)
-                    except ReproError:
-                        pass
-
-            # Destroy one child per round: teardown interleaved with
-            # injection must not leak either.
-            if children:
-                victim = children[rng.randint(0, len(children) - 1)]
-                try:
-                    platform.xl.destroy(victim)
-                except ReproError:
-                    report.clone_errors += 1
-
-    # Full teardown: every guest goes; the audit below must be clean.
-    for domid in sorted(platform.hypervisor.domains):
-        try:
-            platform.xl.destroy(domid)
-        except ReproError:
-            report.clone_errors += 1
-
-    report.violations = audit_platform(platform)
-    report.fault_stats = platform.faults.report() \
-        if platform.faults.enabled else {}
-    report.clock_ms = round(platform.clock.now, 6)
-    payload = report.to_dict()
-    payload.pop("fingerprint")
-    report.fingerprint = fingerprint(payload)
-    return report

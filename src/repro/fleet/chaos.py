@@ -7,7 +7,7 @@ the whole-batch rollback on the dying host), some between batches
 audits every host, dead or alive, for leaked frames, grants, event
 endpoints and Xenstore nodes. The report fingerprint covers every
 deterministic output, so two runs at the same (seed, plan, policy) must
-be byte-identical: the property the ``fleet-chaos-smoke`` CI job pins.
+be byte-identical: the property the ``storm-smoke`` CI job pins.
 """
 
 from __future__ import annotations
@@ -16,22 +16,22 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ReproError
-from repro.faults.chaos import audit_platform
+from repro.faults.chaos import audit_platform, disarmed, touch_first_segments
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.fleet.fleet import Fleet, FleetConfig, HostState
-from repro.obs.canonical import fingerprint
+from repro.obs.canonical import Sealed, seal
 from repro.sim import DeterministicRNG
 from repro.sim.units import MIB
 
 
 @dataclass
-class FleetChaosReport:
+class FleetChaosReport(Sealed):
     """The deterministic outcome of one fleet chaos run."""
 
     seed: int
     hosts: int
     policy: str
-    plan_name: str
+    plan: str
     fingerprint: str = ""
     clones_requested: int = 0
     clones_placed: int = 0
@@ -41,24 +41,6 @@ class FleetChaosReport:
     violations: list[str] = field(default_factory=list)
     fleet_stats: dict[str, Any] = field(default_factory=dict)
     clock_ms: float = 0.0
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable form (what the CLI prints with --json)."""
-        return {
-            "seed": self.seed,
-            "hosts": self.hosts,
-            "policy": self.policy,
-            "plan": self.plan_name,
-            "fingerprint": self.fingerprint,
-            "clones_requested": self.clones_requested,
-            "clones_placed": self.clones_placed,
-            "clones_failed": self.clones_failed,
-            "hosts_killed": self.hosts_killed,
-            "replacements": self.replacements,
-            "violations": list(self.violations),
-            "fleet_stats": self.fleet_stats,
-            "clock_ms": self.clock_ms,
-        }
 
 
 def audit_fleet(fleet: Fleet, frontdoor: Any = None) -> list[str]:
@@ -243,44 +225,50 @@ def kill_plan(seed: int, hosts: int, kills: int,
     return FaultPlan(specs=specs, name=f"fleet-kill-{seed:#x}-{kills}")
 
 
+def storm_fleet(*, seed: int, hosts: int, policy: str,
+                host_memory_mb: int, plan: FaultPlan, parents: int,
+                subnet: int) -> tuple[Fleet, list[str]]:
+    """A storm's fleet and its parent families ``fam0..``.
+
+    Hosts are deliberately small (``host_memory_mb``) so capacity
+    pressure — and with it cross-host forwarding — shows up at
+    clone-batch scale, not only after thousands of instances. Family
+    ``i`` answers at ``10.<subnet>.<i + 1>.1``. The families boot with
+    host-fault polling disarmed: a storm targets the clone, failover
+    and migration paths, not initial placement.
+    """
+    from repro.apps.udp_server import UdpServerApp
+    from repro.toolstack.config import DomainConfig, VifConfig
+
+    config = FleetConfig(hosts=hosts, seed=seed, policy=policy,
+                         host_memory_bytes=host_memory_mb * MIB,
+                         host_dom0_bytes=(host_memory_mb // 3) * MIB)
+    fleet = Fleet(config, plan=plan)
+    with disarmed(fleet.faults):
+        for i in range(parents):
+            fleet.create_family(DomainConfig(
+                name=f"fam{i}", memory_mb=4,
+                vifs=[VifConfig(ip=f"10.{subnet}.{i + 1}.1")],
+                max_clones=1024), app_factory=UdpServerApp)
+    return fleet, [f"fam{i}" for i in range(parents)]
+
+
 def run_fleet_chaos(seed: int = 0xC10E, hosts: int = 4, kills: int = 2,
                     parents: int = 2, batch: int = 3,
                     rounds: int = 8, policy: str = "round-robin",
                     plan: FaultPlan | None = None,
                     host_memory_mb: int = 192,
                     ) -> FleetChaosReport:
-    """One fleet chaos run: storm, quiesce, audit, fingerprint.
-
-    Hosts are deliberately small (``host_memory_mb``) so capacity
-    pressure — and with it cross-host forwarding — shows up at
-    clone-batch scale, not only after thousands of instances.
-    """
-    from repro.apps.udp_server import UdpServerApp
-    from repro.toolstack.config import DomainConfig, VifConfig
-
+    """One fleet chaos run: storm, quiesce, audit, fingerprint."""
     if plan is None:
         plan = kill_plan(seed, hosts, kills)
-    config = FleetConfig(hosts=hosts, seed=seed, policy=policy,
-                         host_memory_bytes=host_memory_mb * MIB,
-                         host_dom0_bytes=(host_memory_mb // 3) * MIB)
-    fleet = Fleet(config, plan=plan)
+    fleet, families = storm_fleet(
+        seed=seed, hosts=hosts, policy=policy,
+        host_memory_mb=host_memory_mb, plan=plan, parents=parents,
+        subnet=1)
     report = FleetChaosReport(seed=seed, hosts=hosts, policy=policy,
-                              plan_name=plan.name)
+                              plan=plan.name)
     rng = fleet.rng.fork("fleet-chaos-workload")
-
-    # Boot the parent families with host-fault polling disarmed: the
-    # storm targets the clone/failover paths, not initial placement.
-    if fleet.faults.enabled:
-        fleet.faults.active = False
-    families: list[str] = []
-    for i in range(parents):
-        domain_config = DomainConfig(
-            name=f"fam{i}", memory_mb=4,
-            vifs=[VifConfig(ip=f"10.1.{i + 1}.1")], max_clones=1024)
-        fleet.create_family(domain_config, app_factory=UdpServerApp)
-        families.append(domain_config.name)
-    if fleet.faults.enabled:
-        fleet.faults.active = True
 
     for round_index in range(rounds):
         for name in families:
@@ -289,19 +277,11 @@ def run_fleet_chaos(seed: int = 0xC10E, hosts: int = 4, kills: int = 2,
             report.clones_placed += len(result.placed)
             report.clones_failed += result.failed
 
-            # Touch clone memory on its host: COW writes must behave
-            # identically whether or not the fleet is mid-failover.
-            for host_name, domid in result.placed:
-                host = fleet.host(host_name)
-                child = host.platform.hypervisor.domains.get(domid)
-                if child is None or not child.memory.segments:
-                    continue
-                try:
-                    child.memory.write_range(
-                        child.memory.segments[0].pfn_start,
-                        rng.randint(1, 4))
-                except ReproError:
-                    pass
+            # COW writes must behave identically whether or not the
+            # fleet is mid-failover.
+            touch_first_segments(
+                (fleet.host(host_name).platform.hypervisor.domains.get(domid)
+                 for host_name, domid in result.placed), rng)
 
             # Destroy one placed clone per round: interleaved teardown
             # must not confuse the failover bookkeeping either.
@@ -333,7 +313,4 @@ def run_fleet_chaos(seed: int = 0xC10E, hosts: int = 4, kills: int = 2,
     report.violations = audit_fleet(fleet)
     report.fleet_stats = fleet.report()["stats"]
     report.clock_ms = round(fleet.clock.now, 6)
-    payload = report.to_dict()
-    payload.pop("fingerprint")
-    report.fingerprint = fingerprint(payload)
-    return report
+    return seal(report)

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ReproError
-from repro.obs.canonical import fingerprint
+from repro.obs.canonical import Sealed, seal
 from repro.toolstack.config import DomainConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -720,10 +720,10 @@ def audit_migrations(fleet: "Fleet") -> list[str]:
 
 
 # ----------------------------------------------------------------------
-# the migration chaos storm (CI: migration-chaos-smoke)
+# the migration chaos storm (CI: storm-smoke)
 # ----------------------------------------------------------------------
 @dataclass
-class MigrationChaosReport:
+class MigrationChaosReport(Sealed):
     """Deterministic outcome of one migration chaos run."""
 
     seed: int
@@ -740,25 +740,6 @@ class MigrationChaosReport:
     records: list[dict] = field(default_factory=list)
     fleet_stats: dict[str, Any] = field(default_factory=dict)
     clock_ms: float = 0.0
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready representation, the fingerprint payload."""
-        return {
-            "seed": self.seed,
-            "hosts": self.hosts,
-            "fingerprint": self.fingerprint,
-            "migrations_planned": self.migrations_planned,
-            "migrations_done": self.migrations_done,
-            "migrations_failed": self.migrations_failed,
-            "pages_streamed": self.pages_streamed,
-            "pages_aborted": self.pages_aborted,
-            "faults_fired": self.faults_fired,
-            "midstream_audits": self.midstream_audits,
-            "violations": list(self.violations),
-            "records": list(self.records),
-            "fleet_stats": self.fleet_stats,
-            "clock_ms": self.clock_ms,
-        }
 
 
 def migration_storm_plan(seed: int, faults: int = 100,
@@ -819,50 +800,27 @@ def run_migration_chaos(seed: int = 0xC10E, hosts: int = 4,
     fleet-wide audit runs both mid-stream (pages in flight) and after
     quiesce; the report fingerprint covers every deterministic output.
     """
-    from repro.apps.udp_server import UdpServerApp
-    from repro.fleet.chaos import audit_fleet
-    from repro.fleet.fleet import Fleet, FleetConfig, HostState
-    from repro.sim.units import MIB
-    from repro.toolstack.config import DomainConfig, VifConfig
+    from repro.faults.chaos import touch_first_segments
+    from repro.fleet.chaos import audit_fleet, storm_fleet
+    from repro.fleet.fleet import HostState
 
     if plan is None:
         plan = migration_storm_plan(seed, faults=faults, hosts=hosts)
-    config = FleetConfig(hosts=hosts, seed=seed, policy="least-loaded",
-                         host_memory_bytes=host_memory_mb * MIB,
-                         host_dom0_bytes=(host_memory_mb // 3) * MIB)
-    fleet = Fleet(config, plan=plan)
+    fleet, families = storm_fleet(
+        seed=seed, hosts=hosts, policy="least-loaded",
+        host_memory_mb=host_memory_mb, plan=plan, parents=parents,
+        subnet=2)
     report = MigrationChaosReport(seed=seed, hosts=hosts)
     rng = fleet.rng.fork("migration-chaos-workload")
 
-    if fleet.faults.enabled:
-        fleet.faults.active = False
-    families = []
-    for i in range(parents):
-        domain_config = DomainConfig(
-            name=f"fam{i}", memory_mb=4,
-            vifs=[VifConfig(ip=f"10.2.{i + 1}.1")], max_clones=1024)
-        fleet.create_family(domain_config, app_factory=UdpServerApp)
-        families.append(domain_config.name)
-    if fleet.faults.enabled:
-        fleet.faults.active = True
-
     for round_index in range(rounds):
         for name in families:
-            family = fleet.families.get(name)
-            if family is None:
+            if name not in fleet.families:
                 continue
             result = fleet.clone_family(name, count=batch)
-            for host_name, domid in result.placed:
-                host = fleet.host(host_name)
-                child = host.platform.hypervisor.domains.get(domid)
-                if child is None or not child.memory.segments:
-                    continue
-                try:
-                    child.memory.write_range(
-                        child.memory.segments[0].pfn_start,
-                        rng.randint(1, 6))
-                except ReproError:
-                    pass
+            touch_first_segments(
+                (fleet.host(host_name).platform.hypervisor.domains.get(domid)
+                 for host_name, domid in result.placed), rng, max_pages=6)
         # Drain the most-loaded UP host (where the families are), in
         # alternating modes; fall back to a rebalance pass when the
         # drain is not possible this round.
@@ -917,7 +875,4 @@ def run_migration_chaos(seed: int = 0xC10E, hosts: int = 4,
     report.records = [r.to_dict() for r in fleet.migrations]
     report.fleet_stats = fleet.report()["stats"]
     report.clock_ms = round(fleet.clock.now, 6)
-    payload = report.to_dict()
-    payload.pop("fingerprint")
-    report.fingerprint = fingerprint(payload)
-    return report
+    return seal(report)

@@ -43,7 +43,7 @@ from dataclasses import dataclass, fields
 from typing import Any
 
 from repro.frontdoor.results import FrontDoorError
-from repro.obs.canonical import fingerprint
+from repro.obs.canonical import Sealed, seal
 from repro.sim.costs import CostModel
 
 _COSTS = CostModel()
@@ -447,7 +447,7 @@ def storm_policy() -> ResiliencePolicy:
 
 
 @dataclass
-class StormReport:
+class StormReport(Sealed):
     """Outcome of one overload-storm smoke run."""
 
     seed: int
@@ -457,14 +457,6 @@ class StormReport:
     faults: dict
     violations: list[str]
     fingerprint: str = ""
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready representation, the fingerprint payload."""
-        return {
-            "seed": self.seed, "waves": self.waves, "stats": self.stats,
-            "resilience": self.resilience, "faults": self.faults,
-            "violations": self.violations, "fingerprint": self.fingerprint,
-        }
 
 
 def run_overload_storm(seed: int = 0xC10E, *, hosts: int = 2,
@@ -490,6 +482,8 @@ def run_overload_storm(seed: int = 0xC10E, *, hosts: int = 2,
     from repro.fleet.chaos import audit_fleet
     from repro.frontdoor.session import FleetSession
 
+    if waves < 1:
+        raise FrontDoorError(f"'waves' must be >= 1, got {waves}")
     plan = FaultPlan.randomized(seed, faults=faults,
                                 sites=frontdoor_sites())
     policy = storm_policy()
@@ -537,10 +531,7 @@ def run_overload_storm(seed: int = 0xC10E, *, hosts: int = 2,
                          for site, counts in sorted(fired.items())}
     finally:
         session.close(check=False)
-    payload = report.to_dict()
-    payload.pop("fingerprint")
-    report.fingerprint = fingerprint(payload)
-    return report
+    return seal(report)
 
 
 def format_storm_report(report: StormReport) -> str:

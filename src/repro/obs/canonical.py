@@ -9,6 +9,12 @@ runs must produce the same hex digest byte for byte.
 dataclasses into plain JSON first (callers whose payload is already
 plain JSON skip it, it is a full walk); :func:`first_difference` says
 *where* two payloads diverge when their fingerprints do not match.
+
+Every report that carries its own digest is stamped by :func:`seal`:
+the ``fingerprint`` field hashes the report's ``to_dict()`` with that
+one key left out. A :class:`Sealed` report's ``to_dict()`` is
+:func:`jsonify` of its fields, so a field's name is its JSON key and a
+value is hashed exactly as it is stored.
 """
 
 from __future__ import annotations
@@ -56,6 +62,24 @@ def fingerprint(payload: Any) -> str:
     except ValueError as error:
         raise ReproError(f"cannot fingerprint payload: {error}") from None
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def seal(report: Any) -> Any:
+    """Stamp ``report.fingerprint`` over ``report.to_dict()`` minus that
+    key; returns ``report``."""
+    payload = report.to_dict()
+    payload.pop("fingerprint")
+    report.fingerprint = fingerprint(payload)
+    return report
+
+
+class Sealed:
+    """Mixin for a result dataclass with a ``fingerprint`` field that
+    :func:`seal` stamps: its JSON form is exactly its fields."""
+
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-ready representation, the fingerprint payload."""
+        return jsonify(self)
 
 
 def first_difference(a: Any, b: Any, *, ignore: frozenset[str] = frozenset(),

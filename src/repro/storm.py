@@ -131,9 +131,18 @@ class Tier:
     listing: tuple[str, Callable[[], list[str]]] | None = None
 
 
-# ----------------------------------------------------------------------
-# chaos / kvm-chaos
-# ----------------------------------------------------------------------
+def _storm(runner: Callable[..., Any]) -> Callable[[argparse.Namespace], Any]:
+    """``Tier.run`` calling ``runner(seed=..., <option>=...)`` with the
+    parsed value of each of the tier's options; ``--plan`` is loaded."""
+    def run(args: argparse.Namespace) -> Any:
+        kwargs = {name: getattr(args, name)
+                  for name in TIERS[args.tier].options}
+        if "plan" in kwargs:
+            kwargs["plan"] = _load_plan(kwargs["plan"])
+        return runner(seed=args.seed, **kwargs)
+    return run
+
+
 def _load_plan(path: str | None) -> FaultPlan | None:
     if path is None:
         return None
@@ -144,19 +153,14 @@ def _load_plan(path: str | None) -> FaultPlan | None:
         raise ReproError(f"cannot load plan {path}: {error}") from None
 
 
-def _chaos(runner: Callable[..., Any]) -> Callable[[argparse.Namespace], Any]:
-    def run(args: argparse.Namespace) -> Any:
-        return runner(seed=args.seed, faults=args.faults,
-                      plan=_load_plan(args.plan), parents=args.parents,
-                      batch=args.batch, rounds=args.rounds)
-    return run
-
-
+# ----------------------------------------------------------------------
+# chaos / kvm-chaos
+# ----------------------------------------------------------------------
 def chaos_summary(report: Any) -> str:
     """Summary of a :class:`~repro.faults.chaos.ChaosReport`."""
     stats = report.fault_stats.get("stats", {})
     lines = [
-        f"chaos run: seed {report.seed:#x}, plan {report.plan_name}",
+        f"chaos run: seed {report.seed:#x}, plan {report.plan}",
         f"  clones: {report.clones_succeeded}/{report.clones_attempted} "
         f"succeeded, {report.clone_errors} aborted operations",
         f"  transactions committed: {report.txn_attempts}",
@@ -186,18 +190,11 @@ _CHAOS_OPTIONS = {"faults": 100, "plan": None, "parents": 2, "batch": 3,
 # ----------------------------------------------------------------------
 # fleet
 # ----------------------------------------------------------------------
-def _fleet(args: argparse.Namespace) -> Any:
-    return run_fleet_chaos(
-        seed=args.seed, hosts=args.hosts, kills=args.kills,
-        parents=args.parents, batch=args.batch, rounds=args.rounds,
-        policy=args.policy, plan=_load_plan(args.plan))
-
-
 def fleet_summary(report: Any) -> str:
     """Summary of a :class:`~repro.fleet.chaos.FleetChaosReport`."""
     lines = [
         f"fleet chaos seed={report.seed:#x} hosts={report.hosts} "
-        f"policy={report.policy} plan={report.plan_name}",
+        f"policy={report.policy} plan={report.plan}",
         f"  clones: requested={report.clones_requested} "
         f"placed={report.clones_placed} failed={report.clones_failed}",
         f"  hosts killed: {report.hosts_killed}  "
@@ -225,11 +222,6 @@ def _fleet_checks(args: argparse.Namespace, report: Any) -> list[str]:
 # ----------------------------------------------------------------------
 # migration
 # ----------------------------------------------------------------------
-def _migration(args: argparse.Namespace) -> Any:
-    return run_migration_chaos(seed=args.seed, hosts=args.hosts,
-                               faults=args.faults, rounds=args.rounds)
-
-
 def migration_summary(report: Any) -> str:
     """Summary of a :class:`~repro.fleet.migration.MigrationChaosReport`."""
     lines = [
@@ -322,15 +314,6 @@ def sweep_summary(report: SweepReport) -> str:
     return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# overload
-# ----------------------------------------------------------------------
-def _overload(args: argparse.Namespace) -> Any:
-    return run_overload_storm(args.seed, hosts=args.hosts,
-                              replicas=args.replicas,
-                              requests=args.requests, faults=args.faults)
-
-
 def _violation_lines(violations: list[str], clean: str) -> list[str]:
     if not violations:
         return [f"  {clean}"]
@@ -341,22 +324,23 @@ def _violation_lines(violations: list[str], clean: str) -> list[str]:
 TIERS: dict[str, Tier] = {
     "chaos": Tier(
         help="randomized fault storm against the Xen clone path",
-        options=_CHAOS_OPTIONS, run=_chaos(run_chaos),
+        options=_CHAOS_OPTIONS, run=_storm(run_chaos),
         summary=chaos_summary, listing=("--list-sites", _sites)),
     "kvm-chaos": Tier(
         help="the same fault storm against the KVM port",
-        options=_CHAOS_OPTIONS, run=_chaos(run_kvm_chaos),
+        options=_CHAOS_OPTIONS, run=_storm(run_kvm_chaos),
         summary=chaos_summary, listing=("--list-sites", _sites)),
     "fleet": Tier(
         help="multi-host storm: host kills, failover, re-placement",
         options={"hosts": 4, "kills": 2, "policy": "round-robin",
                  "parents": 2, "batch": 3, "rounds": 8, "plan": None},
-        run=_fleet, summary=fleet_summary, checks=_fleet_checks,
+        run=_storm(run_fleet_chaos), summary=fleet_summary,
+        checks=_fleet_checks,
         listing=("--list-policies", lambda: sorted(POLICIES))),
     "migration": Tier(
         help="drains and rebalances under a migration fault storm",
         options={"hosts": 4, "faults": 100, "rounds": 10},
-        run=_migration, summary=migration_summary,
+        run=_storm(run_migration_chaos), summary=migration_summary,
         checks=_migration_checks),
     "frontdoor": Tier(
         help="request-cloning dispatch sweep over clone factors",
@@ -369,7 +353,7 @@ TIERS: dict[str, Tier] = {
              "protected policy",
         options={"hosts": 2, "replicas": 6, "requests": 5000,
                  "faults": 30},
-        run=_overload, summary=format_storm_report),
+        run=_storm(run_overload_storm), summary=format_storm_report),
 }
 
 

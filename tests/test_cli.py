@@ -240,36 +240,29 @@ def test_trace_in_help(traced_shell):
 
 
 # ----------------------------------------------------------------------
-# the fleet command
+# storms run from python -m repro.storm, not the shell
 # ----------------------------------------------------------------------
-def test_fleet_policies(shell):
-    shell.execute("fleet policies")
-    text = output_of(shell)
-    assert "round-robin" in text
-    assert "least-loaded" in text
-
-
-def test_fleet_storm_runs_clean(shell, cfg_file):
-    shell.execute(f"create {cfg_file}")
-    before = shell.platform.guest_count()
-    shell.execute("fleet storm 3 1")
-    text = output_of(shell)
-    assert "hosts=3" in text
-    assert "hosts killed: 1" in text
-    assert "leak audit: clean (fleet-wide)" in text
-    # The storm is self-contained: the shell's platform is untouched.
-    assert shell.platform.guest_count() == before
-
-
 def test_fleet_bad_args(shell):
-    with pytest.raises(CliError):
-        shell.execute("fleet bogus")
-    with pytest.raises(CliError):
-        shell.execute("fleet storm three")
-    with pytest.raises(CliError):
-        shell.execute("fleet storm 3 1 extra")
+    # The fleet storm left the shell for python -m repro.storm, so every
+    # `fleet` form, well-formed or not, is now an unknown command.
+    for verb in ("fleet bogus", "fleet storm three", "fleet storm 3 1 extra",
+                 "fleet storm 3 1", "fleet policies"):
+        with pytest.raises(CliError, match="unknown command"):
+            shell.execute(verb)
 
 
 def test_fleet_in_help(shell):
     shell.execute("help")
-    assert "fleet storm" in output_of(shell)
+    text = output_of(shell)
+    assert "python -m repro.storm" in text
+    assert "fleet storm" not in text
+
+
+def test_help_points_storms_to_the_storm_runner(shell):
+    for verb in ("frontdoor 300 2", "frontdoor storm"):
+        with pytest.raises(CliError, match="unknown command"):
+            shell.execute(verb)
+    shell.execute("help")
+    text = output_of(shell)
+    assert "python -m repro.storm" in text
+    assert "frontdoor [" not in text

@@ -1,0 +1,47 @@
+"""Tests: the shared ablation arm runner, the drain-vs-kill ablation's
+pinned quick run, and the ablations' typed argument errors."""
+
+import pytest
+
+from repro.errors import ReproError
+from repro.experiments import fleet_migration, frontdoor_overload
+from repro.experiments.arms import divergence
+from repro.frontdoor.resilience import run_overload_storm
+
+#: ``fleet_migration.run_quick()``'s sha256: all three traffic arms, the
+#: migration storm unit and the serial-vs-pool comparison.
+FLEET_MIGRATION_QUICK = (
+    "5ef74037f1e59da4d07ede5e0d76dab03d3b3f87f057b4074ef442ae5bbbb476")
+
+
+def test_fleet_migration_quick_run_is_pinned():
+    result = fleet_migration.run_quick()
+    assert result.fingerprint == FLEET_MIGRATION_QUICK
+    assert result.parallel_identical
+    assert result.violations == []
+    assert set(result.arms) == {"baseline", "drain", "kill"}
+    assert "serial == parallel: yes" in fleet_migration.format_result(result)
+
+
+def test_divergence_names_the_first_differing_unit_and_path():
+    serial = [{"arm": "baseline", "p99_ms": 4.0},
+              {"arm": "kill", "waves": [{"p99_ms": 9.5}]}]
+    pooled = [{"arm": "baseline", "p99_ms": 4.0},
+              {"arm": "kill", "waves": [{"p99_ms": 9.75}]}]
+    assert divergence(serial, serial) is None
+    assert divergence(serial, pooled) == (
+        "parallel run diverged from serial run: unit kill: "
+        "waves[0].p99_ms: 9.5 != 9.75")
+
+
+@pytest.mark.parametrize("run, name", [
+    (lambda: run_overload_storm(waves=0), "'waves'"),
+    (lambda: frontdoor_overload.run(waves=0), "'waves'"),
+    (lambda: fleet_migration.run(arrival_rps=0.0), "'arrival_rps'"),
+    (lambda: fleet_migration.run(heartbeat_every_ms=0.0),
+     "'heartbeat_every_ms'"),
+], ids=["overload-storm-waves", "overload-ablation-waves",
+        "migration-arrival-rps", "migration-heartbeat"])
+def test_degenerate_arguments_raise_a_typed_error(run, name):
+    with pytest.raises(ReproError, match=name):
+        run()

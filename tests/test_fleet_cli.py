@@ -18,7 +18,7 @@ def test_list_policies(capsys):
 
 
 def test_smoke_contract_passes(capsys):
-    # The exact invocation the fleet-chaos-smoke CI job pins, at
+    # The exact invocation the storm-smoke CI job pins, at
     # reduced run count.
     assert main(["--seed", "0xC10E", "--hosts", "4", "--kills", "2",
                  "--runs", "2"]) == 0

@@ -1,34 +1,28 @@
-"""Tests: ``python -m repro.storm frontdoor`` and the shell front-door
-verbs."""
+"""Tests: ``python -m repro.storm frontdoor`` and the fleet storm's
+total-loss case."""
 
-import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import storm
-from repro.cli import CliError, XlShell
 
 
 def main(argv: list[str]) -> int:
     return storm.main(["frontdoor", *argv])
 
 
-@pytest.fixture
-def shell():
-    return XlShell(out=io.StringIO())
-
-
-def output_of(shell: XlShell) -> str:
-    return shell.out.getvalue()
-
-
 # ----------------------------------------------------------------------
-# the module CLI (the frontdoor-smoke CI contract)
+# the module CLI (the storm-smoke CI contract)
 # ----------------------------------------------------------------------
 
 def test_smoke_contract_passes(capsys):
-    # The exact invocation the frontdoor-smoke CI job pins, at reduced
+    # The exact invocation the storm-smoke CI job pins, at reduced
     # request count: two runs must agree byte-for-byte and leak nothing.
     assert main(["--seed", "0xC10E", "--requests", "600",
                  "--clone-factors", "1,2", "--runs", "2"]) == 0
@@ -57,48 +51,37 @@ def test_workload_choices_cover_the_request_shapes(capsys):
 
 
 # ----------------------------------------------------------------------
-# the xl-style shell verb
+# regression: a fleet storm must fingerprint even on total loss
 # ----------------------------------------------------------------------
-
-def test_shell_frontdoor_smoke(shell):
-    shell.execute("frontdoor 300 2")
-    text = output_of(shell)
-    assert "frontdoor d=2 requests=300" in text
-    assert "fingerprint:" in text
-    assert "waste fraction:" in text
-
-
-def test_shell_frontdoor_defaults_and_bad_args(shell):
-    with pytest.raises(CliError):
-        shell.execute("frontdoor one")
-    with pytest.raises(CliError):
-        shell.execute("frontdoor 1 2 3")
-    shell.execute("help")
-    assert "frontdoor" in output_of(shell)
-
-
-# ----------------------------------------------------------------------
-# regression: `fleet storm` must fingerprint even on total loss
-# ----------------------------------------------------------------------
-
-def test_shell_storm_total_loss_still_fingerprints(shell):
-    # Killing every host used to raise before the report existed; a
-    # total-loss storm must still run to completion and print the
-    # sha256 fingerprint of its (all-failures) outcome.
-    shell.execute("fleet storm 2 2")
-    text = output_of(shell)
-    assert "hosts killed: 2" in text
-    assert "fingerprint: " in text
-    fingerprint = text.split("fingerprint: ")[1].split()[0]
-    assert len(fingerprint) == 64
-
 
 def test_module_cli_total_loss_exits_zero(capsys):
     assert storm.main(["fleet", "--hosts", "2", "--kills", "2",
                        "--runs", "2"]) == 0
+    # Killing every host used to raise before the report existed; a
+    # total-loss storm must still run to completion and print the
+    # sha256 fingerprint of its (all-failures) outcome.
     out = capsys.readouterr().out
     assert "hosts killed: 2" in out
-    assert "fingerprint" in out
+    fingerprint = out.split("fingerprint: ")[1].split()[0]
+    assert len(fingerprint) == 64
+
+
+def test_shell_storm_total_loss_still_fingerprints():
+    # The same total-loss storm typed at a command shell: the module
+    # entry point must run it to completion and print the fingerprint.
+    src = Path(repro.__file__).resolve().parent.parent
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro.storm", "fleet", "--hosts", "2",
+         "--kills", "2"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "hosts killed: 2" in proc.stdout
+    fingerprint = proc.stdout.split("fingerprint: ")[1].split()[0]
+    assert len(fingerprint) == 64
+    int(fingerprint, 16)
 
 
 def test_kill_plan_still_rejects_more_kills_than_hosts():

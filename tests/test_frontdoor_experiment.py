@@ -58,6 +58,11 @@ def test_knee_clone_factor_moves_with_load():
 # the experiment runner (CI-sized)
 # ----------------------------------------------------------------------
 
+#: The quick sweep's sha256 (both clone factors and the composed run).
+QUICK_FINGERPRINT = (
+    "35c31ef94ab2eed3d717955da4aaf3752f4c1e948a5d8c1ee05b20d60ba19553")
+
+
 @pytest.fixture(scope="module")
 def quick():
     return frontdoor_p99.run_quick(seed=0xC10E)
@@ -65,7 +70,7 @@ def quick():
 
 def test_quick_run_is_deterministic(quick):
     again = frontdoor_p99.run_quick(seed=0xC10E)
-    assert again.fingerprint == quick.fingerprint
+    assert again.fingerprint == quick.fingerprint == QUICK_FINGERPRINT
     assert [p.fingerprint for p in again.points] \
         == [p.fingerprint for p in quick.points]
 

@@ -114,5 +114,5 @@ def test_same_plan_shape_runs_on_both_backends():
     # for either platform (all sites are registry sites).
     plan = FaultPlan.randomized(3, faults=10, sites=list(KVM_SITES))
     report = run_kvm_chaos(seed=3, plan=plan, rounds=6)
-    assert report.plan_name == plan.name
+    assert report.plan == plan.name
     assert report.violations == []

@@ -25,7 +25,7 @@ from repro.frontdoor.results import FrontDoorError
 from repro.sim.rng import DeterministicRNG
 
 #: The default overload storm's sha256 fingerprint, pinned like the
-#: migration storm's: the overload-chaos-smoke CI job runs the same
+#: migration storm's: the storm-smoke CI job runs the same
 #: storm twice and any behavior drift in admission, retries, breakers
 #: or the fault sites shows up here first.
 STORM_FINGERPRINT = (

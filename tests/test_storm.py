@@ -67,6 +67,27 @@ def test_every_tier_has_a_ci_pin():
     assert set(CI_PINS) == set(storm.TIERS)
 
 
+#: Small arguments for every tier whose report carries its own digest
+#: (the frontdoor sweep's is the ``+``-join of its per-factor digests).
+SEALED_TIERS = {
+    "chaos": ["--faults", "8"],
+    "kvm-chaos": ["--faults", "8"],
+    "fleet": ["--rounds", "2"],
+    "migration": ["--faults", "4", "--rounds", "2"],
+    "overload": ["--requests", "300"],
+}
+
+
+@pytest.mark.parametrize("tier", sorted(SEALED_TIERS))
+def test_report_fingerprint_seals_its_json(tier):
+    args = storm.build_parser().parse_args([tier, *SEALED_TIERS[tier]])
+    report = storm.TIERS[tier].run(args)
+    payload = report.to_dict()
+    assert report.fingerprint == payload.pop("fingerprint") \
+        == fingerprint(payload)
+    assert set(SEALED_TIERS) == set(storm.TIERS) - {"frontdoor"}
+
+
 # ----------------------------------------------------------------------
 # the typed-error boundary
 # ----------------------------------------------------------------------
