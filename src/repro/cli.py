@@ -278,13 +278,10 @@ class XlShell:
     def cmd_faults(self, args: list[str]) -> None:
         """faults [sites]: injection counters, or the site registry."""
         if args and args[0] == "sites":
-            from repro.faults import SITES
+            from repro.faults.sites import site_table
 
-            self._print(f"{'site':<22} {'mode':<6} {'kinds':<24} analogue")
-            for name, site in sorted(SITES.items()):
-                kinds = ",".join(sorted(k.value for k in site.allowed_kinds))
-                self._print(f"{name:<22} {site.mode.value:<6} {kinds:<24} "
-                            f"{site.analogue}")
+            for line in site_table():
+                self._print(line)
             return
         if args:
             raise CliError("usage: faults [sites]")

@@ -179,6 +179,8 @@ def run(seed: int = 0xC10E, *, hosts: int = 3, clones_origin: int = 6,
     if kill_tick is None:
         duration_ms = requests / arrival_rps * 1000.0
         kill_tick = max(2, int(duration_ms / heartbeat_every_ms / 4))
+    elif kill_tick < 1:
+        raise ReproError(f"'kill_tick' must be >= 1, got {kill_tick}")
     params = {
         "hosts": hosts, "clones_origin": clones_origin,
         "clones_spill": clones_spill, "requests": requests,

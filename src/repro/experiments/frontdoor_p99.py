@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.apps.traffic import as_shape
+from repro.errors import ReproError
 from repro.experiments.report import format_table
 from repro.faults.plan import FaultPlan, FaultSpec
 from repro.fleet.chaos import audit_fleet
@@ -156,6 +157,9 @@ def run(seed: int = 0xC10E, *, shape: str = "faas",
     with the synchronized-service waste of exponential demand the
     capacity knee then lands inside the default factor range.
     """
+    if not clone_factors or min(clone_factors) < 1:
+        raise ReproError("'clone_factors' must be a non-empty sequence of "
+                         f"factors >= 1, got {clone_factors!r}")
     request_shape = as_shape(shape)
     arrival_rps = utilization * replicas * request_shape.capacity_rps
     result = FrontdoorP99Result(

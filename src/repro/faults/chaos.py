@@ -246,6 +246,10 @@ def _chaos_run(platform: Any, plan: FaultPlan, guests: dict[int, Any],
     the armed specs: the run must also exercise the no-fault-left steady
     state, not just back-to-back failures.
     """
+    for name, value in (("parents", parents), ("batch", batch),
+                        ("rounds", rounds)):
+        if value is not None and value < 1:
+            raise ReproError(f"'{name}' must be >= 1, got {value}")
     if rounds is None:
         rounds = max(3, (faults * 3) // 4)
     report = ChaosReport(seed=seed, plan=plan.name)

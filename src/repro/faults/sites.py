@@ -390,6 +390,16 @@ def frontdoor_sites() -> list[str]:
     return sorted(name for name in SITES if name.startswith("frontdoor."))
 
 
+def site_table() -> list[str]:
+    """One line per site: name, mode, allowed kinds, description."""
+    lines = []
+    for name, site in sorted(SITES.items()):
+        kinds = ",".join(sorted(k.value for k in site.allowed_kinds))
+        lines.append(f"{name:<22} {site.mode.value:<6} {kinds:<24} "
+                     f"{site.description}")
+    return lines
+
+
 #: Sites threaded through the KVM backend so far (the parity slice):
 #: frame allocation fires from the shared FrameTable, EPT rebuild from
 #: KVM_CLONE_VM, the kvmcloned wake-up from the clone loop, and device

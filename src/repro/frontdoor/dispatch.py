@@ -55,6 +55,13 @@ every seq drawn from the engine's counter:
 The equivalence suite pins this order byte for byte; flooring at the
 clock in rule 3, or re-pushing with the hint's old seq, each break a pin.
 
+First tries and budget-granted retries share one placement path
+(``FrontDoor._place``); a retry differs only in its clone factor
+(brownout at the moment it fires) and its routing stream. Copies,
+timeouts and retries exist only inside a run: a run that raises ends
+its copies as lost and fails its unresolved requests before the error
+propagates.
+
 Determinism: arrivals, demands and routing each draw from their own
 forked RNG stream keyed by (family, shape, label), and the
 :class:`~repro.frontdoor.results.DispatchResult` fingerprint covers the
@@ -162,9 +169,6 @@ class _Request:
         #: (resilience layer) bump this; ``t_arrive_ms`` keeps the
         #: *original* arrival so latency and deadline cover the retries.
         self.attempts = 1
-
-    def active_copies(self) -> list[_Copy]:
-        return [c for c in self.copies if c.state == _ACTIVE]
 
 
 class ReplicaServer:
@@ -287,34 +291,6 @@ class ReplicaServer:
         """
         return 1e-6 + 1e-9 * self.vclock
 
-    def _prune_heap(self) -> None:
-        heap = self._heap
-        pop = heapq.heappop
-        while heap and not heap[0][2].in_service:
-            pop(heap)
-            self._heap_dead -= 1
-
-    def soonest_remaining(self) -> float:
-        """Exact minimum remaining work over resident jobs.
-
-        The heap orders jobs by finish-V hint; every live entry within
-        the drift margin of the top is synced exactly and the exact
-        minimum taken, so the result equals the naive ``min()`` scan
-        bit for bit while touching O(candidates) jobs instead of all.
-        """
-        self._prune_heap()
-        heap = self._heap
-        top = heap[0]
-        limit = top[0] + self._margin()
-        n = len(heap)
-        if n > 1:
-            second = heap[1][0]
-            if n > 2 and heap[2][0] < second:
-                second = heap[2][0]
-            if second <= limit:
-                return self._soonest_among(limit)
-        return self.exact_remaining(top[2])
-
     def _soonest_among(self, limit: float) -> float:
         """Exact min over the (rare) multi-candidate margin window."""
         heap = self._heap
@@ -339,10 +315,11 @@ class ReplicaServer:
     def next_departure_ms(self) -> float:
         """Absolute time the soonest job finishes, given no changes.
 
-        Flattened :meth:`soonest_remaining`: this runs once per admit,
-        cancel and departure — the single hottest call in a megascale
-        dispatch — so the prune / margin-check / history-sync steps are
-        inlined for the overwhelmingly common single-candidate case.
+        Every live heap entry within the drift margin of the top is
+        synced exactly, so the minimum equals the naive ``min()`` scan
+        bit for bit. This is the single hottest call in a megascale
+        dispatch, so the prune / margin-check / history-sync steps are
+        inlined for the common single-candidate case.
         """
         heap = self._heap
         entry = heap[0]
@@ -411,14 +388,16 @@ class ReplicaServer:
 
     def finished_jobs(self) -> list[_Copy]:
         """Jobs whose exact remaining work is ≤ EPS, in admission order."""
-        self._prune_heap()
         heap = self._heap
+        pop = heapq.heappop
+        while heap and not heap[0][2].in_service:
+            pop(heap)
+            self._heap_dead -= 1
         if not heap:
             return []
         limit = self.vclock + EPS + self._margin()
         if heap[0][0] > limit:
             return []
-        pop = heapq.heappop
         push = heapq.heappush
         popped = []
         finished: list[_Copy] = []
@@ -520,6 +499,16 @@ class _Run:
         self.mean_service_ms = 0.0
 
 
+def _mean_depth(pool: list[ReplicaServer]) -> float:
+    """Mean copies in service per replica (0.0 for an empty pool)."""
+    if not pool:
+        return 0.0
+    jobs = 0
+    for server in pool:
+        jobs += len(server.jobs)
+    return jobs / len(pool)
+
+
 class FrontDoor:
     """The fleet's request-dispatch tier.
 
@@ -619,9 +608,7 @@ class FrontDoor:
             raise FrontDoorError(f"unknown family {family!r}")
         epoch = fleet.topology_epoch
         if self._pool_epochs.get(family) == epoch:
-            cached = self._pool_lists.get(family)
-            if cached is not None:
-                return cached
+            return self._pool_lists[family]
         pool = self._pools.setdefault(family, {})
         now = fleet.clock.now
         live: set[tuple[str, int]] = set()
@@ -650,19 +637,28 @@ class FrontDoor:
     def _retire(self, server: ReplicaServer, now_ms: float) -> None:
         """A replica left the pool (host death or destroy): orphan its
         copies; a request with no surviving copy fails."""
-        server.advance(now_ms)
+        lost = self._lose_jobs(server, now_ms)
         server.alive = False
         self.retired_work_ms += server.work_done_ms
         self.stats["servers_retired"] += 1
+        for copy in lost:
+            request = copy.request
+            if not request.resolved and all(
+                    c.state != _ACTIVE for c in request.copies):
+                self._fail(request, self._run)
+
+    def _lose_jobs(self, server: ReplicaServer, now_ms: float) -> list[_Copy]:
+        """End every copy in service on ``server`` as lost, charging
+        the service it received; returns them in job order."""
+        server.advance(now_ms)
         vclock = server.vclock
-        for copy in list(server.jobs):
+        lost = list(server.jobs)
+        for copy in lost:
             copy.consumed_ms = vclock - copy.v_admit
             server.remove(copy)
             copy.state = _LOST
             self._end_copy(copy)
-            request = copy.request
-            if not request.resolved and not request.active_copies():
-                self._fail(request)
+        return lost
 
     # ------------------------------------------------------------------
     # workload runs
@@ -718,10 +714,6 @@ class FrontDoor:
             if res is None or res.policy != policy:
                 res = self._res = ResilienceState(
                     policy, self.rng, self.fleet.clock.now)
-        self._active_res = res
-        faults = self.fleet.faults
-        self._inj = (faults if res is not None
-                     and getattr(faults, "enabled", False) else None)
 
         base = self.rng.fork(f"dispatch:{family}:{shape.name}:{label}")
         arrival_rng = base.fork("arrivals")
@@ -732,10 +724,6 @@ class FrontDoor:
         run.clone_factor = clone_factor
         run.timeout_ms = timeout_ms
         run.mean_service_ms = shape.mean_service_ms
-        self._run = run
-        self._hist = self.registry.histogram(
-            f"frontdoor.latency.{family}.{shape.name}.d{clone_factor}",
-            bounds=LATENCY_BUCKET_BOUNDS)
         t_start = self.fleet.clock.now
         mean_gap_ms = 1000.0 / arrival_rps
 
@@ -753,43 +741,52 @@ class FrontDoor:
         demand_rate = 1.0 / shape.mean_service_ms
         demands = array("d", (expo(demand_rate) for _ in range(requests)))
 
+        self._run = run
+        self._hist = self.registry.histogram(
+            f"frontdoor.latency.{family}.{shape.name}.d{clone_factor}",
+            bounds=LATENCY_BUCKET_BOUNDS)
+        self._active_res = res
+        faults = self.fleet.faults
+        self._inj = (faults if res is not None
+                     and getattr(faults, "enabled", False) else None)
         periodic = []
-        if heartbeat_every_ms is not None:
-            def beat() -> None:
-                self.fleet.tick()
-                self.refresh(family)
-            periodic.append(self.engine.every(heartbeat_every_ms, beat))
-        if autoscale is not None:
-            window = {"seen": 0}
-
-            def check_scale() -> None:
-                arrived = run.admitted - window["seen"]
-                window["seen"] = run.admitted
-                self._autoscale_check(family, autoscale, arrived)
-            periodic.append(self.engine.every(
-                autoscale.check_interval_ms, check_scale))
-
-        # Merge the arrival array, the engine queue (periodics,
-        # timeouts, retries) and the departure-hint heap in the
-        # (time, seq) order the module docstring states, until every
-        # request resolved, bounded by a drain guard.
-        engine = self.engine
-        peek = engine.peek
-        step = engine.step
-        next_seq = self._next_seq
-        clock = self.fleet.clock
-        admit = self._admit
-        depart = self._depart
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        dep = self._dep_heap
-        dep.clear()
-        guard = 60 * requests + 100_000
-        steps = 0
-        rid = 0
-        t_arrive = arrivals[0]
-        s_arrive = next_seq()
         try:
+            if heartbeat_every_ms is not None:
+                def beat() -> None:
+                    self.fleet.tick()
+                    self.refresh(family)
+                periodic.append(self.engine.every(heartbeat_every_ms, beat))
+            if autoscale is not None:
+                window = {"seen": 0}
+
+                def check_scale() -> None:
+                    arrived = run.admitted - window["seen"]
+                    window["seen"] = run.admitted
+                    self._autoscale_check(family, autoscale, arrived)
+                periodic.append(self.engine.every(
+                    autoscale.check_interval_ms, check_scale))
+
+            # Merge the arrival array, the engine queue (periodics,
+            # timeouts, retries) and the departure-hint heap in the
+            # (time, seq) order the module docstring states, until every
+            # request resolved, bounded by a drain guard.
+            engine = self.engine
+            peek = engine.peek
+            step = engine.step
+            next_seq = self._next_seq
+            clock = self.fleet.clock
+            admit = self._admit
+            getrandbits = route_rng._random.getrandbits
+            depart = self._depart
+            heappop = heapq.heappop
+            heappush = heapq.heappush
+            dep = self._dep_heap
+            dep.clear()
+            guard = 60 * requests + 100_000
+            steps = 0
+            rid = 0
+            t_arrive = arrivals[0]
+            s_arrive = next_seq()
             while run.resolved < requests:
                 # Earliest live departure hint (dead servers and
                 # drained hints are dropped on the way).
@@ -811,8 +808,7 @@ class FrontDoor:
                         or (t_arrive == nxt[0] and s_arrive < nxt[1])):
                     if t_arrive > clock._now:
                         clock._now = t_arrive
-                    admit(run, rid, demands[rid], family, clone_factor,
-                          route_rng, timeout_ms)
+                    admit(run, rid, demands[rid], getrandbits)
                     rid += 1
                     if rid < requests:
                         t_arrive = arrivals[rid]
@@ -851,19 +847,21 @@ class FrontDoor:
                 if steps > guard:
                     raise FrontDoorError("dispatch failed to drain "
                                          f"(engine ran {steps} events)")
+        except BaseException:
+            self._abort(run)
+            raise
         finally:
-            dep.clear()
+            self._dep_heap.clear()
             for handle in periodic:
                 handle.cancel()
-        self._flush_run(run)
-        self._run = None
-        self._hist = None
-        self._active_res = None
-        self._inj = None
+            self._flush_run(run)
+            self._run = None
+            self._hist = None
+            self._active_res = None
+            self._inj = None
         duration = self.fleet.clock.now - t_start
         return self._finalize(
             run, family, shape, clone_factor, arrival_rps, duration,
-            work_served=run.work_served, work_useful=run.work_useful,
             resilient=res is not None, report_segments=report_segments)
 
     def dispatch_one(self, family: str, shape: "RequestShape | str", *,
@@ -898,22 +896,19 @@ class FrontDoor:
         control plane turns this into the 429 response's hint.
         """
         shape = as_shape(shape)
-        pool = self.refresh(family)
-        depth = (sum(len(s.jobs) for s in pool) / len(pool)
-                 if pool else 0.0)
-        return retry_after_ms(shape.mean_service_ms, depth)
+        return retry_after_ms(shape.mean_service_ms,
+                              _mean_depth(self.refresh(family)))
 
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _admit(self, run: _Run, rid: int, demand_ms: float, family: str,
-               clone_factor: int, route_rng, timeout_ms: float | None) -> None:
+    def _admit(self, run: _Run, rid: int, demand_ms: float,
+               getrandbits) -> None:
+        """Offer one first try to admission control, then place it."""
         now = self.fleet.clock.now
-        pool = self._pool_lists.get(family)
-        if pool is None:
-            pool = self._pool_lists[family] = list(
-                self._pools.get(family, {}).values())
+        pool = self._pool_lists[run.family]
         run.offered += 1
+        clone_factor = run.clone_factor
         res = self._active_res
         if res is not None:
             clone_factor = self._gatekeep(run, res, now, pool)
@@ -923,7 +918,23 @@ class FrontDoor:
                 return
             res.budget.note_first_try()
         run.admitted += 1
-        request = _Request(rid, now, demand_ms)
+        self._place(run, _Request(rid, now, demand_ms), clone_factor,
+                    getrandbits, pool, now)
+
+    def _place(self, run: _Run, request: _Request, clone_factor: int,
+               getrandbits, pool: list[ReplicaServer], now: float) -> None:
+        """Route one attempt of ``request`` and start its copies.
+
+        The one placement path of first tries and budget-granted
+        retries. ``getrandbits`` is the attempt's routing stream: the
+        run's route fork for a first try, the resilience ``retries``
+        fork for a retry, so the first-try stream stays bit-identical
+        to a retry-free run. An attempt no replica takes, or whose
+        copies all stall, fails through :meth:`_fail` (which may grant
+        a retry); otherwise its timeout is armed, capped by the request
+        deadline.
+        """
+        res = self._active_res
         placed: list[ReplicaServer] = []
         npool = len(pool)
         if npool:
@@ -934,7 +945,6 @@ class FrontDoor:
             # inlined here so each draw costs one C call instead of
             # three Python frames, while consuming the identical bit
             # stream and producing the identical index sequence.
-            getrandbits = route_rng._random.getrandbits
             nbits = npool.bit_length()
             cap = self.max_jobs_per_server
             found = 0
@@ -952,16 +962,28 @@ class FrontDoor:
                 server = pool[index]
                 if len(server.jobs) >= cap:
                     continue
-                if res is not None and not self._routable(res, server, now):
+                if res is not None and (
+                        (server.draining and res.policy.route_around_draining)
+                        or not res.allow_route(server.key, now)):
                     continue
                 placed.append(server)
                 found += 1
             if res is not None and not placed:
-                self._fallback_place(res, pool, placed, want, cap, now)
+                # Routing skipped every sampled candidate: a
+                # deterministic pool-order pass readmits DRAINING
+                # replicas (better than failing the request outright)
+                # — but never an OPEN breaker.
+                for server in pool:
+                    if (len(server.jobs) < cap
+                            and res.allow_route(server.key, now)):
+                        placed.append(server)
+                        if len(placed) >= want:
+                            break
         if not placed:
             run.rejected += 1
             self._fail(request, run)
             return
+        demand_ms = request.demand_ms
         copies = request.copies
         dep = self._dep_heap
         next_seq = self._next_seq
@@ -1023,6 +1045,7 @@ class FrontDoor:
                     bound = now
                 heappush(dep, (bound, next_seq(), token, False, server))
         run.copies += len(placed)
+        timeout_ms = run.timeout_ms
         if res is not None:
             if stalled == len(placed):
                 self._fail(request, run)
@@ -1060,13 +1083,7 @@ class FrontDoor:
         if res.bucket is not None and not res.bucket.take(now):
             res.note_shed("bucket")
             return -1
-        depth = 0.0
-        npool = len(pool)
-        if npool:
-            jobs = 0
-            for server in pool:
-                jobs += len(server.jobs)
-            depth = jobs / npool
+        depth = _mean_depth(pool)
         d = res.effective_clone_factor(run.clone_factor, depth)
         bound = policy.sojourn_bound_ms
         deadline = policy.deadline_ms
@@ -1082,30 +1099,6 @@ class FrontDoor:
                                          op="admit", family=run.family):
             self._flap_breaker(res, pool, now)
         return d
-
-    def _routable(self, res: ResilienceState, server: ReplicaServer,
-                  now: float) -> bool:
-        """May routing place a copy on ``server`` right now?"""
-        if server.draining and res.policy.route_around_draining:
-            return False
-        breaker = res.breakers.get(server.key)
-        return breaker is None or breaker.allow(now)
-
-    def _fallback_place(self, res: ResilienceState,
-                        pool: list[ReplicaServer],
-                        placed: list[ReplicaServer], want: int, cap: int,
-                        now: float) -> None:
-        """Routing skipped every sampled candidate: a deterministic
-        pool-order pass readmits DRAINING replicas (better than failing
-        the request outright) — but never an OPEN breaker."""
-        for server in pool:
-            if len(server.jobs) >= cap:
-                continue
-            if not res.allow_route(server.key, now):
-                continue
-            placed.append(server)
-            if len(placed) >= want:
-                return
 
     def _flap_breaker(self, res: ResilienceState,
                       pool: list[ReplicaServer], now: float) -> None:
@@ -1155,92 +1148,17 @@ class FrontDoor:
         return True
 
     def _readmit(self, request: _Request, run: _Run) -> None:
-        """Place a budget-granted retry: same request, fresh copies.
-
-        Off the hot path by construction. Routing and backoff draw
-        from the resilience fork (``rng.fork("retries")``), so the
-        first-try route stream stays bit-identical to a retry-free
-        run and retry storms replay bit-for-bit.
-        """
+        """Place a budget-granted retry: same request, fresh copies, at
+        the brownout clone factor of the moment, routed on the
+        resilience ``retries`` stream its backoff also draws from."""
         if request.resolved:
             return
         res = self._active_res
-        if res is None:
-            self._fail(request, run)
-            return
-        now = self.fleet.clock.now
-        pool = self._pool_lists.get(run.family)
-        if pool is None:
-            pool = self._pool_lists[run.family] = list(
-                self._pools.get(run.family, {}).values())
-        placed: list[ReplicaServer] = []
-        npool = len(pool)
-        cap = self.max_jobs_per_server
-        if npool:
-            jobs = 0
-            for server in pool:
-                jobs += len(server.jobs)
-            d = res.effective_clone_factor(run.clone_factor, jobs / npool)
-            want = d if d < npool else npool
-            rng = res.rng
-            tried_mask = 0
-            tried = 0
-            while len(placed) < want and tried < npool:
-                index = rng.randint(0, npool - 1)
-                bit = 1 << index
-                if tried_mask & bit:
-                    continue
-                tried_mask |= bit
-                tried += 1
-                server = pool[index]
-                if len(server.jobs) >= cap:
-                    continue
-                if not self._routable(res, server, now):
-                    continue
-                placed.append(server)
-            if not placed:
-                self._fallback_place(res, pool, placed, want, cap, now)
-        if not placed:
-            run.rejected += 1
-            if not self._retry(request, run, res, now):
-                self._resolve_failed(request, run)
-            return
-        inj = self._inj
-        stalled = 0
-        for server in placed:
-            copy = _Copy(request, server)
-            request.copies.append(copy)
-            if inj is not None and inj.event(
-                    "frontdoor.replica_stall", op="route",
-                    host=server.host, domid=server.domid):
-                copy.state = _LOST
-                self._end_copy(copy)
-                self._breaker_failure(res, server.key, now)
-                stalled += 1
-                continue
-            server.advance(now)
-            server.admit(copy)
-            self._reschedule(server, now)
-        run.copies += len(placed)
-        if stalled == len(placed):
-            if not self._retry(request, run, res, now):
-                self._resolve_failed(request, run)
-            return
-        timeout = run.timeout_ms
-        deadline = res.policy.deadline_ms
-        if deadline is not None:
-            slack = request.t_arrive_ms + deadline - now
-            if timeout is None or slack < timeout:
-                timeout = slack
-        if timeout is not None:
-            request.timeout_event = self.engine.schedule_at(
-                now + timeout, lambda: self._expire(request, run))
-
-    def _resolve_failed(self, request: _Request, run: _Run) -> None:
-        """Terminal failure of a retried request (no further gates)."""
-        request.resolved = True
-        run.failed += 1
-        run.resolved += 1
+        pool = self._pool_lists[run.family]
+        clone_factor = res.effective_clone_factor(run.clone_factor,
+                                                  _mean_depth(pool))
+        self._place(run, request, clone_factor, res.rng._random.getrandbits,
+                    pool, self.fleet.clock.now)
 
     def _reschedule(self, server: ReplicaServer, now: float) -> None:
         """Push the server's departure hint after its job set changed.
@@ -1281,14 +1199,9 @@ class FrontDoor:
         res = self._active_res
         if res is not None:
             res.record_success(winner.server.key, now_ms)
-        if run is not None:
-            run.work_served += winner.consumed_ms
-            run.copies_won += 1
-            run.work_useful += request.demand_ms
-        else:
-            self.stats["work_served_ms"] += winner.consumed_ms
-            self.stats["copies_won"] += 1
-            self.stats["work_useful_ms"] += request.demand_ms
+        run.work_served += winner.consumed_ms
+        run.copies_won += 1
+        run.work_useful += request.demand_ms
         dep = self._dep_heap
         next_seq = self._next_seq
         heappush = heapq.heappush
@@ -1314,12 +1227,8 @@ class FrontDoor:
             copy.consumed_ms = consumed = server.vclock - copy.v_admit
             server.remove(copy)
             copy.state = _CANCELLED
-            if run is not None:
-                run.work_served += consumed
-                run.copies_cancelled += 1
-            else:
-                self.stats["work_served_ms"] += consumed
-                self.stats["copies_cancelled"] += 1
+            run.work_served += consumed
+            run.copies_cancelled += 1
             if jobs:
                 bound = server.bound_departure_ms()
                 if bound < now_ms:
@@ -1331,18 +1240,10 @@ class FrontDoor:
             request.timeout_event = None
         request.resolved = True
         latency = now_ms - request.t_arrive_ms + DISPATCH_RTT_MS
-        if run is not None:
-            run.completed += 1
-            run.resolved += 1
-            if 0 <= request.rid < run.requests:
-                run.latencies[request.rid] = latency
-            if self._hist is not None:
-                self._hist.observe(latency)
-        else:
-            self.stats["completed"] += 1
-            if self._hist is not None:
-                self._hist.observe(latency)
-            self.fleet.tracer.count("frontdoor.requests_completed")
+        run.completed += 1
+        run.resolved += 1
+        run.latencies[request.rid] = latency
+        self._hist.observe(latency)
 
     def _expire(self, request: _Request, run: _Run) -> None:
         if request.resolved:
@@ -1382,38 +1283,40 @@ class FrontDoor:
         run.timed_out += 1
         run.resolved += 1
 
-    def _fail(self, request: _Request, run: "_Run | None" = None) -> None:
+    def _fail(self, request: _Request, run: _Run) -> None:
+        """The attempt has no copy left: retry if granted, else fail."""
         if request.resolved:
             return
-        run = run if run is not None else self._run
         res = self._active_res
-        if (res is not None and run is not None
-                and self._retry(request, run, res, self.fleet.clock.now)):
-            if request.timeout_event is not None:
-                request.timeout_event.cancel()
-                request.timeout_event = None
-            return
-        request.resolved = True
+        if res is None or not self._retry(request, run, res,
+                                          self.fleet.clock.now):
+            request.resolved = True
+            run.failed += 1
+            run.resolved += 1
         if request.timeout_event is not None:
             request.timeout_event.cancel()
             request.timeout_event = None
-        if run is not None:
-            run.failed += 1
-            run.resolved += 1
-        else:
-            self.stats["failed"] += 1
 
     def _end_copy(self, copy: _Copy) -> None:
         """Final work accounting for a copy leaving service."""
         run = self._run
-        if run is not None:
-            run.work_served += copy.consumed_ms
-            if copy.state == _LOST:
-                run.copies_lost += 1
-        else:
-            self.stats["work_served_ms"] += copy.consumed_ms
-            if copy.state == _LOST:
-                self.stats["copies_lost"] += 1
+        run.work_served += copy.consumed_ms
+        if copy.state == _LOST:
+            run.copies_lost += 1
+
+    def _abort(self, run: _Run) -> None:
+        """Close a run that raised, so no copy or event outlives it.
+
+        Copies still in service end as lost with their work charged,
+        the run's timeouts and retries leave the engine, and every
+        admitted request not yet completed or timed out counts failed.
+        """
+        now = self.fleet.clock.now
+        for pool in self._pools.values():
+            for server in pool.values():
+                self._lose_jobs(server, now)
+        self.engine.clear()
+        run.failed = run.admitted - run.completed - run.timed_out
 
     def _flush_run(self, run: _Run) -> None:
         """Fold the run's slotted counters into the shared ledgers."""
@@ -1463,8 +1366,7 @@ class FrontDoor:
     # ------------------------------------------------------------------
     def _finalize(self, run: _Run, family: str, shape: RequestShape,
                   clone_factor: int, arrival_rps: float, duration_ms: float,
-                  *, work_served: float, work_useful: float,
-                  resilient: bool = False,
+                  *, resilient: bool = False,
                   report_segments: int = 0) -> DispatchResult:
         counts = {
             "completed": run.completed, "failed": run.failed,
@@ -1490,8 +1392,8 @@ class FrontDoor:
 
         # max() absorbs float drift when every copy won (useful can land
         # an ulp above served at d=1).
-        waste = (max(0.0, 1.0 - work_useful / work_served)
-                 if work_served > 0 else 0.0)
+        waste = (max(0.0, 1.0 - run.work_useful / run.work_served)
+                 if run.work_served > 0 else 0.0)
         payload = {
             "latencies": [None if lat != lat else round(lat, 9)
                           for lat in run.latencies],
@@ -1522,7 +1424,7 @@ class FrontDoor:
             latency_p50_ms=quantile(0.50), latency_p95_ms=quantile(0.95),
             latency_p99_ms=quantile(0.99),
             latency_max_ms=(done[-1] if done else 0.0),
-            work_served_ms=work_served, work_useful_ms=work_useful,
+            work_served_ms=run.work_served, work_useful_ms=run.work_useful,
             waste_fraction=waste, fingerprint=digest,
             offered=run.offered, shed=run.shed, retries=run.retries,
             segment_completed=segments)
@@ -1596,6 +1498,17 @@ class AutoscalePolicy:
                  max_replicas: int = 16, scale_step: int = 1) -> None:
         if max_replicas < 1:
             raise FrontDoorError(f"non-positive max_replicas: {max_replicas}")
+        if not isinstance(scale_step, int) or scale_step < 1:
+            raise FrontDoorError(
+                f"scale_step must be an int >= 1: {scale_step!r}")
+        if not (isinstance(threshold_rps, (int, float))
+                and 0 <= threshold_rps < math.inf):
+            raise FrontDoorError(
+                f"threshold_rps must be finite and >= 0: {threshold_rps!r}")
+        if not (isinstance(check_interval_ms, (int, float))
+                and 0 < check_interval_ms < math.inf):
+            raise FrontDoorError("check_interval_ms must be finite and > 0: "
+                                 f"{check_interval_ms!r}")
         self.threshold_rps = threshold_rps
         self.check_interval_ms = check_interval_ms
         self.max_replicas = max_replicas

@@ -484,6 +484,9 @@ def run_overload_storm(seed: int = 0xC10E, *, hosts: int = 2,
 
     if waves < 1:
         raise FrontDoorError(f"'waves' must be >= 1, got {waves}")
+    if requests < waves:
+        raise FrontDoorError(
+            f"'requests' must be >= waves ({waves}), got {requests}")
     plan = FaultPlan.randomized(seed, faults=faults,
                                 sites=frontdoor_sites())
     policy = storm_policy()
@@ -497,7 +500,7 @@ def run_overload_storm(seed: int = 0xC10E, *, hosts: int = 2,
             session.clone("storm", count=replicas - 1)
         arrival_rps = (utilization * replicas
                        * 1000.0 / FAAS_INVOKE.mean_service_ms)
-        per_wave = max(1, requests // waves)
+        per_wave = requests // waves
         for wave in range(waves):
             result = session.dispatch(
                 "storm", workload="faas", requests=per_wave,

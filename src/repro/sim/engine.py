@@ -124,6 +124,15 @@ class Engine:
         """Cancelled events still occupying heap slots."""
         return self._cancelled
 
+    def clear(self) -> None:
+        """Drop every queued event; none of them will run."""
+        for entry in self._queue:
+            event = entry[2]
+            event.cancelled = True
+            event._enqueued = False
+        self._queue.clear()
+        self._cancelled = 0
+
     def _note_cancelled(self) -> None:
         """One enqueued event just turned dead; compact if they dominate.
 

@@ -43,7 +43,7 @@ from repro.apps.traffic import SHAPES, as_shape
 from repro.errors import ReproError
 from repro.faults.chaos import run_chaos, run_kvm_chaos
 from repro.faults.plan import FaultPlan
-from repro.faults.sites import SITES
+from repro.faults.sites import site_table
 from repro.fleet.chaos import audit_fleet, run_fleet_chaos
 from repro.fleet.migration import run_migration_chaos
 from repro.fleet.placement import POLICIES
@@ -172,15 +172,6 @@ def chaos_summary(report: Any) -> str:
     ]
     lines += _violation_lines(report.violations, "leak audit: clean")
     return "\n".join(lines)
-
-
-def _sites() -> list[str]:
-    lines = []
-    for name, site in sorted(SITES.items()):
-        kinds = ",".join(sorted(k.value for k in site.allowed_kinds))
-        lines.append(f"{name:<22} {site.mode.value:<6} {kinds:<24} "
-                     f"{site.description}")
-    return lines
 
 
 _CHAOS_OPTIONS = {"faults": 100, "plan": None, "parents": 2, "batch": 3,
@@ -325,11 +316,11 @@ TIERS: dict[str, Tier] = {
     "chaos": Tier(
         help="randomized fault storm against the Xen clone path",
         options=_CHAOS_OPTIONS, run=_storm(run_chaos),
-        summary=chaos_summary, listing=("--list-sites", _sites)),
+        summary=chaos_summary, listing=("--list-sites", site_table)),
     "kvm-chaos": Tier(
         help="the same fault storm against the KVM port",
         options=_CHAOS_OPTIONS, run=_storm(run_kvm_chaos),
-        summary=chaos_summary, listing=("--list-sites", _sites)),
+        summary=chaos_summary, listing=("--list-sites", site_table)),
     "fleet": Tier(
         help="multi-host storm: host kills, failover, re-placement",
         options={"hosts": 4, "kills": 2, "policy": "round-robin",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Callable, Iterable
+
 import pytest
 
 from repro import DomainConfig, Platform, VifConfig
@@ -52,3 +54,16 @@ def udp_parent(platform: Platform):
     domain = platform.xl.create(udp_config("udp0", max_clones=100),
                                 app=UdpServerApp())
     return domain
+
+
+def assert_no_gaps(names: Iterable[str], present: Callable[[str], bool],
+                   message: str) -> None:
+    """One side of a doc-vs-registry diff: fail listing every name that
+    ``present`` rejects."""
+    gaps = sorted({name for name in names if not present(name)})
+    assert not gaps, f"{message}: {gaps}"
+
+
+def mentions(text: str) -> Callable[[str], bool]:
+    """Predicate: ``text`` names ``name`` in backticks."""
+    return lambda name: f"`{name}`" in text

@@ -16,6 +16,7 @@ import pytest
 
 from repro.devices.vif import RX_BUFFER_PAGES
 from repro.sim.costs import CostModel
+from tests.conftest import assert_no_gaps, mentions
 
 REPO = Path(__file__).resolve().parent.parent
 CALIBRATION_MD = REPO / "docs" / "CALIBRATION.md"
@@ -65,10 +66,11 @@ def test_tables_are_parsed():
 
 def test_every_documented_constant_exists():
     model = CostModel()
-    for cell in _table_cells():
-        for name in re.findall(r"`([A-Za-z0-9_]+)`", cell):
-            assert hasattr(model, name) or name in EXTRA_CONSTANTS, (
-                f"docs/CALIBRATION.md documents unknown constant {name!r}")
+    assert_no_gaps(
+        (name for cell in _table_cells()
+         for name in re.findall(r"`([A-Za-z0-9_]+)`", cell)),
+        lambda name: hasattr(model, name) or name in EXTRA_CONSTANTS,
+        "docs/CALIBRATION.md documents unknown constants")
 
 
 def test_every_documented_value_matches_the_cost_table():
@@ -86,9 +88,8 @@ def test_every_fleet_constant_is_documented():
     fleet_fields = [f.name for f in dataclasses.fields(CostModel) if
                     f.name.startswith("fleet_")]
     assert fleet_fields, "CostModel lost its fleet_* constants"
-    for name in fleet_fields:
-        assert f"`{name}`" in text, (
-            f"fleet constant {name} missing from docs/CALIBRATION.md")
+    assert_no_gaps(fleet_fields, mentions(text),
+                   "fleet constants missing from docs/CALIBRATION.md")
 
 
 def test_fleet_constants_derive_from_the_lan_rtt_anchor():
@@ -135,14 +136,12 @@ def test_frontdoor_constants_derive_from_the_lan_rtt_anchor():
     assert derivations.keys() == frontdoor_fields, (
         "a frontdoor_* constant was added without a documented "
         "derivation")
-    text = CALIBRATION_MD.read_text(encoding="utf-8")
     for name, derived in derivations.items():
         assert getattr(model, name) == pytest.approx(derived), (
             f"{name} no longer matches its docs/CALIBRATION.md "
             f"derivation ({derived} ms)")
-        assert f"`{name}`" in text, (
-            f"frontdoor constant {name} missing from "
-            f"docs/CALIBRATION.md")
+    assert_no_gaps(derivations, mentions(CALIBRATION_MD.read_text("utf-8")),
+                   "frontdoor constants missing from docs/CALIBRATION.md")
 
 
 def test_migration_constants_derive_from_the_wire_anchor():
@@ -168,14 +167,12 @@ def test_migration_constants_derive_from_the_wire_anchor():
     assert derivations.keys() == migration_fields, (
         "a migration_* constant was added without a documented "
         "derivation")
-    text = CALIBRATION_MD.read_text(encoding="utf-8")
     for name, derived in derivations.items():
         assert getattr(model, name) == pytest.approx(derived), (
             f"{name} no longer matches its docs/CALIBRATION.md "
             f"derivation ({derived})")
-        assert f"`{name}`" in text, (
-            f"migration constant {name} missing from "
-            f"docs/CALIBRATION.md")
+    assert_no_gaps(derivations, mentions(CALIBRATION_MD.read_text("utf-8")),
+                   "migration constants missing from docs/CALIBRATION.md")
 
 
 def test_dirty_rate_survives_cost_scaling():

@@ -266,3 +266,13 @@ def test_help_points_storms_to_the_storm_runner(shell):
     text = output_of(shell)
     assert "python -m repro.storm" in text
     assert "frontdoor [" not in text
+
+
+def test_faults_sites_prints_the_storm_runners_site_table(shell, capsys):
+    from repro import storm
+
+    shell.execute("faults sites")
+    assert storm.main(["chaos", "--list-sites"]) == 0
+    storm_lines = capsys.readouterr().out.splitlines()
+    assert storm_lines
+    assert output_of(shell).splitlines() == storm_lines

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 from repro.faults.sites import SITES
+from tests.conftest import assert_no_gaps
 
 REPO = Path(__file__).resolve().parent.parent
 FAULTS_MD = REPO / "docs" / "FAULTS.md"
@@ -17,13 +18,13 @@ def documented_sites() -> set[str]:
 
 
 def test_every_registered_site_is_documented():
-    missing = set(SITES) - documented_sites()
-    assert not missing, f"sites missing from docs/FAULTS.md: {sorted(missing)}"
+    assert_no_gaps(SITES, documented_sites().__contains__,
+                   "sites missing from docs/FAULTS.md")
 
 
 def test_every_documented_site_is_registered():
-    stale = documented_sites() - set(SITES)
-    assert not stale, f"docs/FAULTS.md documents unknown sites: {sorted(stale)}"
+    assert_no_gaps(documented_sites(), SITES.__contains__,
+                   "docs/FAULTS.md documents unknown sites")
 
 
 def test_docs_mention_real_xen_analogue_per_site():

@@ -14,6 +14,7 @@ from repro.frontdoor import (
     FrontDoorError,
     NoCapacity,
     ReplicaServer,
+    ResiliencePolicy,
 )
 from repro.frontdoor.dispatch import DEGRADED_RATE, _Copy, _Request
 
@@ -322,6 +323,58 @@ def test_autoscale_grows_the_pool(session):
 def test_autoscale_policy_validates():
     with pytest.raises(FrontDoorError):
         AutoscalePolicy(max_replicas=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("scale_step", 0), ("scale_step", -1), ("scale_step", 1.5),
+    ("threshold_rps", -1.0), ("threshold_rps", float("nan")),
+    ("threshold_rps", float("inf")),
+    ("check_interval_ms", 0), ("check_interval_ms", -5.0),
+    ("check_interval_ms", float("nan")), ("check_interval_ms", float("inf")),
+])
+def test_autoscale_policy_rejects_bad_field(field, value):
+    # Each bad value fails at construction, naming its field, before a
+    # run can schedule an autoscale check with it.
+    with pytest.raises(FrontDoorError, match=field):
+        AutoscalePolicy(**{field: value})
+
+
+class _Refused(ReproError):
+    pass
+
+
+def test_run_that_raises_leaks_nothing_into_the_next_run(monkeypatch):
+    sess = FleetSession(seed=1, hosts=2)
+    sess.create_family("fam", ip="10.5.0.1")
+    sess.clone("fam", count=3)
+    frontdoor = sess.frontdoor
+
+    def refuse(*args, **kwargs):
+        raise _Refused("clone refused")
+
+    # The first autoscale check clones, which raises mid-flight with
+    # copies in service and timeouts armed, after retries were granted.
+    monkeypatch.setattr(sess.fleet, "clone_family", refuse)
+    with pytest.raises(_Refused):
+        sess.dispatch("fam", "faas", requests=400, arrival_rps=2000.0,
+                      clone_factor=2, timeout_ms=40.0,
+                      resilience=ResiliencePolicy(),
+                      autoscale=AutoscalePolicy(threshold_rps=1.0,
+                                                check_interval_ms=50.0))
+    monkeypatch.undo()
+    stats = frontdoor.stats
+    assert frontdoor.inflight_copies() == 0
+    assert frontdoor.engine.peek() is None
+    assert stats["retries"] > 0
+    assert stats["copies_lost"] > 0 and stats["failed"] > 0
+    assert (stats["requests"]
+            == stats["completed"] + stats["failed"] + stats["timed_out"])
+    assert audit_fleet(sess.fleet, frontdoor) == []
+    before = stats["requests"]
+    result = sess.dispatch("fam", "faas", requests=200, arrival_rps=300.0)
+    assert stats["requests"] - before == 200
+    assert result.completed + result.failed + result.timed_out == 200
+    sess.close()
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ import pytest
 import repro.fleet.migration as migration_mod
 from repro.faults.sites import SITES, migration_sites
 from repro.sim.costs import CostModel
+from tests.conftest import assert_no_gaps, mentions
 
 REPO = Path(__file__).resolve().parent.parent
 MIGRATION_MD = REPO / "docs" / "MIGRATION.md"
@@ -51,16 +52,13 @@ def _site_sections() -> dict[str, str]:
 
 
 def test_every_migration_site_is_documented():
-    sections = _site_sections()
-    for site in migration_sites():
-        assert site in sections, (
-            f"fault site {site} missing from docs/MIGRATION.md")
+    assert_no_gaps(migration_sites(), _site_sections().__contains__,
+                   "fault sites missing from docs/MIGRATION.md")
 
 
 def test_every_documented_site_exists():
-    for name in _site_sections():
-        assert name in SITES, (
-            f"docs/MIGRATION.md documents unknown site {name!r}")
+    assert_no_gaps(_site_sections(), SITES.__contains__,
+                   "docs/MIGRATION.md documents unknown sites")
 
 
 def test_each_site_section_states_window_and_outcome():
@@ -74,16 +72,15 @@ def test_every_migration_cost_constant_is_documented():
     fields = [f.name for f in dataclasses.fields(CostModel)
               if f.name.startswith("migration_")]
     assert fields, "CostModel lost its migration_* constants"
-    for name in fields:
-        assert f"`{name}`" in text, (
-            f"cost constant {name} missing from docs/MIGRATION.md")
+    assert_no_gaps(fields, mentions(text),
+                   "cost constants missing from docs/MIGRATION.md")
 
 
 def test_every_documented_cost_constant_exists():
     model = CostModel()
-    for name in _COST_NAME.findall(_text()):
-        assert hasattr(model, name), (
-            f"docs/MIGRATION.md documents unknown constant {name!r}")
+    assert_no_gaps(_COST_NAME.findall(_text()),
+                   lambda name: hasattr(model, name),
+                   "docs/MIGRATION.md documents unknown constants")
 
 
 def test_documented_cost_values_match_the_cost_table():

@@ -21,6 +21,7 @@ import pytest
 from repro.faults.sites import frontdoor_sites
 from repro.frontdoor.resilience import ResiliencePolicy
 from repro.sim.costs import CostModel
+from tests.conftest import assert_no_gaps, mentions
 
 REPO = Path(__file__).resolve().parent.parent
 RESILIENCE_MD = REPO / "docs" / "RESILIENCE.md"
@@ -44,17 +45,15 @@ def _documented_knobs() -> dict[str, object]:
 
 
 def test_every_policy_knob_is_documented():
-    documented = _documented_knobs()
-    for field in dataclasses.fields(ResiliencePolicy):
-        assert field.name in documented, (
-            f"policy knob {field.name} missing from docs/RESILIENCE.md")
+    assert_no_gaps((f.name for f in dataclasses.fields(ResiliencePolicy)),
+                   _documented_knobs().__contains__,
+                   "policy knobs missing from docs/RESILIENCE.md")
 
 
 def test_every_documented_knob_exists():
     fields = {f.name for f in dataclasses.fields(ResiliencePolicy)}
-    for name in _documented_knobs():
-        assert name in fields, (
-            f"docs/RESILIENCE.md documents unknown knob {name!r}")
+    assert_no_gaps(_documented_knobs(), fields.__contains__,
+                   "docs/RESILIENCE.md documents unknown knobs")
 
 
 def test_documented_defaults_match_the_dataclass():
@@ -76,27 +75,23 @@ def test_every_frontdoor_cost_constant_is_documented():
     fields = [f.name for f in dataclasses.fields(CostModel)
               if f.name.startswith("frontdoor_")]
     assert fields, "CostModel lost its frontdoor_* constants"
-    for name in fields:
-        assert f"`{name}`" in text, (
-            f"cost constant {name} missing from docs/RESILIENCE.md")
+    assert_no_gaps(fields, mentions(text),
+                   "cost constants missing from docs/RESILIENCE.md")
 
 
 def test_every_documented_cost_constant_exists():
     model = CostModel()
-    for name in _COST_NAME.findall(_text()):
-        if name in NOT_CONSTANTS:
-            continue
-        assert hasattr(model, name), (
-            f"docs/RESILIENCE.md documents unknown constant {name!r}")
+    assert_no_gaps(_COST_NAME.findall(_text()),
+                   lambda name: name in NOT_CONSTANTS or hasattr(model, name),
+                   "docs/RESILIENCE.md documents unknown constants")
 
 
 def test_every_frontdoor_fault_site_is_named():
     text = _text()
     sites = frontdoor_sites()
     assert sites, "the frontdoor.* fault sites went missing"
-    for site in sites:
-        assert f"`{site}`" in text, (
-            f"fault site {site} missing from docs/RESILIENCE.md")
+    assert_no_gaps(sites, mentions(text),
+                   "fault sites missing from docs/RESILIENCE.md")
 
 
 def test_conservation_laws_are_stated():
