@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.errors import InvalidArgumentError
 from repro.guest.api import GuestAPI
 from repro.guest.app import GuestApp
 from repro.guest.linux import LinuxProcess
@@ -99,10 +100,10 @@ class NginxCloneCluster:
 
     def __init__(self, platform, workers: int, ip: str = "10.0.2.1") -> None:
         if workers < 1:
-            raise ValueError(f"need at least one worker: {workers}")
+            raise InvalidArgumentError(f"need at least one worker: {workers}")
         cpus = platform.hypervisor.cpus
         if workers > 2 * cpus:
-            raise ValueError(
+            raise InvalidArgumentError(
                 f"{workers} workers on {cpus} cores is past the useful range")
         self.platform = platform
         self.workers = workers
@@ -186,7 +187,7 @@ class NginxProcessCluster:
 
     def __init__(self, clock, costs, workers: int) -> None:
         if workers < 1:
-            raise ValueError(f"need at least one worker: {workers}")
+            raise InvalidArgumentError(f"need at least one worker: {workers}")
         self.workers = workers
         self.master = LinuxProcess(clock, costs, "nginx-master",
                                    resident_bytes=4 * MIB)

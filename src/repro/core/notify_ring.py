@@ -9,7 +9,7 @@ process when the notification ring is full").
 
 from __future__ import annotations
 
-from repro.errors import ReproError
+from repro.errors import InvalidArgumentError, ReproError
 
 from collections import deque
 from dataclasses import dataclass
@@ -35,7 +35,8 @@ class CloneNotificationRing:
 
     def __init__(self, capacity: int = 64) -> None:
         if capacity <= 0:
-            raise ValueError(f"non-positive ring capacity: {capacity}")
+            raise InvalidArgumentError(
+                f"non-positive ring capacity: {capacity}")
         self.capacity = capacity
         self._entries: deque[CloneNotification] = deque()
         self.pushes = 0

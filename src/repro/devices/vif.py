@@ -171,6 +171,15 @@ class NetBackend:
         rx_filter = frontend.rx_filter
         return rx_filter is None or rx_filter(packet)
 
+    def release(self) -> None:
+        """The vif is gone: unlink the frontend and unplug the port,
+        whose callbacks are this backend's bound methods."""
+        frontend = self.frontend
+        if frontend is not None:
+            frontend.backend = None
+            self.frontend = None
+        self.port.unplug()
+
 
 class NetBackendDriver:
     """The netback driver: watches the backend vif directory.
@@ -284,6 +293,7 @@ class NetBackendDriver:
                 properties={"domid": domid, "index": backend.index,
                             "ip": backend.ip, "port": backend.port},
             ))
+            backend.release()
 
 
 def write_vif_entries(handle: XsHandle, domid: int, index: int, mac: str,

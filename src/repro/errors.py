@@ -24,3 +24,9 @@ from __future__ import annotations
 
 class ReproError(Exception):
     """Base class of all exceptions raised by the repro library."""
+
+
+class InvalidArgumentError(ReproError, ValueError):
+    """A bad argument to a library call (a negative size, a time in the
+    past, an empty bucket list, ...). Also a :class:`ValueError`, which
+    is what these calls raised before they had a typed error."""

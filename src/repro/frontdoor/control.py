@@ -20,9 +20,10 @@ scenario scripts can assert on status codes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable
 
+from repro.apps.traffic import SHAPES
 from repro.apps.udp_server import UdpServerApp
 from repro.errors import ReproError
 from repro.fleet.fleet import Fleet, FleetError
@@ -45,6 +46,59 @@ APP_FACTORIES: dict[str, Callable[[], Any] | None] = {
     "udp": UdpServerApp,
     "none": None,
 }
+
+
+#: Annotation strings of :class:`ResiliencePolicy` fields -> JSON type.
+_POLICY_KINDS = {"int": int, "float": float, "bool": bool}
+
+
+def _field(body: dict[str, Any], name: str, kind: type, default: Any) -> Any:
+    """Read field ``name`` of a request body as ``kind`` (int, float,
+    str or bool), or raise a :class:`FrontDoorError` — a 400 — naming it.
+
+    JSON types are taken as sent: a bool is not an integer, an integer
+    is a number (returned as a float), and nothing else is coerced
+    (``"5"`` is not a number, ``1.5`` not an integer). An absent or
+    null field yields ``default``. Ranges, finiteness included, are
+    checked by the callee the value goes to, which names the field too.
+    """
+    value = body.get(name)
+    if value is None:
+        return default
+    if kind is float and isinstance(value, int) \
+            and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise FrontDoorError(
+                f"{name!r} is out of range: {value!r}") from None
+    if not isinstance(value, kind) or (kind is int
+                                       and isinstance(value, bool)):
+        raise FrontDoorError(
+            f"{name!r} must be {kind.__name__}: {value!r}")
+    return value
+
+
+def _policy_field(body: dict[str, Any]) -> "ResiliencePolicy | None":
+    """The body's ``resilience`` object as a policy, each key read by
+    :func:`_field` at the type its policy field declares."""
+    value = body.get("resilience")
+    if value is None or isinstance(value, ResiliencePolicy):
+        return value
+    if not isinstance(value, dict):
+        raise FrontDoorError(f"'resilience' must be an object: {value!r}")
+    kinds = {f.name: f.type for f in fields(ResiliencePolicy)}
+    unknown = sorted(set(value) - set(kinds))
+    if unknown:
+        raise FrontDoorError(f"unknown resilience keys: {unknown}")
+    knobs = {}
+    for key in value:
+        # A null knob keeps its default, as an absent one does.
+        kind = _POLICY_KINDS[kinds[key].partition(" | ")[0]]
+        knob = _field(value, key, kind, None)
+        if knob is not None:
+            knobs[key] = knob
+    return ResiliencePolicy(**knobs)
 
 
 @dataclass(frozen=True)
@@ -102,8 +156,13 @@ class ControlPlane:
             matched_path = True
             if route_method != method:
                 continue
+            if body is None:
+                body = {}
+            if not isinstance(body, dict):
+                return Response(400, {
+                    "error": f"request body must be an object: {body!r}"})
             try:
-                return handler(body or {}, **match.groupdict())
+                return handler(body, **match.groupdict())
             except Overloaded as exc:
                 # Shed by admission control: 429, not 503 — the
                 # capacity exists, the client is asked to back off for
@@ -158,6 +217,9 @@ class ControlPlane:
         if app not in APP_FACTORIES:
             raise FrontDoorError(
                 f"unknown app {app!r} (known: {sorted(APP_FACTORIES)})")
+        if ip is None and APP_FACTORIES[app] is not None:
+            # The app announces itself over its vif at boot.
+            raise FrontDoorError(f"'ip' is required for app {app!r}")
         vifs = [VifConfig(ip=ip)] if ip is not None else []
         config = DomainConfig(name=name, memory_mb=memory_mb, vifs=vifs,
                               max_clones=max_clones)
@@ -218,7 +280,7 @@ class ControlPlane:
         if name not in {host.name for host in self.fleet.hosts}:
             return Response(404, {"error": f"unknown host {name!r}"})
         return Response(200, self.drain_host(
-            name, mode=str(body.get("mode", "precopy"))))
+            name, mode=_field(body, "mode", str, "precopy")))
 
     def _route_status(self, body: dict[str, Any]) -> Response:
         return Response(200, {
@@ -264,16 +326,17 @@ class ControlPlane:
         })
 
     def _route_create(self, body: dict[str, Any]) -> Response:
-        name = body.get("name")
-        if not name or not isinstance(name, str):
+        name = _field(body, "name", str, None)
+        if not name:
             return Response(400, {"error": "family 'name' is required"})
         if name in self.fleet.families:
             return Response(409,
                             {"error": f"family {name!r} already exists"})
         placement = self.create_family(
-            name, memory_mb=int(body.get("memory_mb", 4)),
-            ip=body.get("ip"), app=body.get("app", "udp"),
-            max_clones=int(body.get("max_clones", 1024)))
+            name, memory_mb=_field(body, "memory_mb", int, 4),
+            ip=_field(body, "ip", str, None),
+            app=_field(body, "app", str, "udp"),
+            max_clones=_field(body, "max_clones", int, 1024))
         return Response(201, placement)
 
     def _route_destroy(self, body: dict[str, Any], name: str) -> Response:
@@ -285,38 +348,37 @@ class ControlPlane:
     def _route_clone(self, body: dict[str, Any], name: str) -> Response:
         if name not in self.fleet.families:
             return Response(404, {"error": f"unknown family {name!r}"})
-        count = int(body.get("count", 1))
-        result = self.fleet.clone_family(name, count=count)
+        result = self.fleet.clone_family(
+            name, count=_field(body, "count", int, 1))
         return Response(200, result.to_dict())
 
     def _route_dispatch(self, body: dict[str, Any]) -> Response:
-        family = body.get("family")
-        if not family or not isinstance(family, str):
+        family = _field(body, "family", str, None)
+        if not family:
             return Response(400, {"error": "'family' is required"})
         if family not in self.fleet.families:
             return Response(404, {"error": f"unknown family {family!r}"})
-        timeout = body.get("timeout_ms")
-        heartbeat = body.get("heartbeat_every_ms")
-        policy = body.get("resilience")
-        if policy is not None and not isinstance(policy, ResiliencePolicy):
-            policy = ResiliencePolicy(**policy)
+        workload = _field(body, "workload", str, "faas")
+        if workload not in SHAPES:
+            raise FrontDoorError(f"unknown workload {workload!r} "
+                                 f"(known: {sorted(SHAPES)})")
         result = self.dispatch(
-            family, body.get("workload", "faas"),
-            requests=int(body.get("requests", 1000)),
-            arrival_rps=float(body.get("arrival_rps", 100.0)),
-            clone_factor=int(body.get("clone_factor", 1)),
-            timeout_ms=None if timeout is None else float(timeout),
-            heartbeat_every_ms=(None if heartbeat is None
-                                else float(heartbeat)),
-            resilience=policy,
-            report_segments=int(body.get("report_segments", 0)),
-            label=str(body.get("label", "")))
+            family, workload,
+            requests=_field(body, "requests", int, 1000),
+            arrival_rps=_field(body, "arrival_rps", float, 100.0),
+            clone_factor=_field(body, "clone_factor", int, 1),
+            timeout_ms=_field(body, "timeout_ms", float, None),
+            heartbeat_every_ms=_field(body, "heartbeat_every_ms", float,
+                                      None),
+            resilience=_policy_field(body),
+            report_segments=_field(body, "report_segments", int, 0),
+            label=_field(body, "label", str, ""))
         if result.offered and result.shed == result.offered:
             # Admission shed the whole run: the aggregate analogue of
             # the single-request 429, with the same deterministic hint.
             return Response(429, {
                 "error": f"all {result.offered} requests shed",
                 "retry_after_ms": round(self.frontdoor.retry_after_hint_ms(
-                    family, body.get("workload", "faas")), 6),
+                    family, workload), 6),
                 "result": result.to_dict()})
         return Response(200, result.to_dict())

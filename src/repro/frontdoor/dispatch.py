@@ -60,7 +60,12 @@ First tries and budget-granted retries share one placement path
 (brownout at the moment it fires) and its routing stream. Copies,
 timeouts and retries exist only inside a run: a run that raises ends
 its copies as lost and fails its unresolved requests before the error
-propagates.
+propagates. Inside a run, a copy lives only as long as its attempt: a
+request drops its copy list when the attempt completes, times out or
+fails (a granted retry starts a fresh list), and an idle replica
+clears its departure heap, so a request and its copies, which point at
+each other, are freed by reference count rather than by the cyclic
+collector.
 
 Determinism: arrivals, demands and routing each draw from their own
 forked RNG stream keyed by (family, shape, label), and the
@@ -443,10 +448,15 @@ class ReplicaServer:
             heapq.heapify(rebuilt)
             self._heap = rebuilt
             self._heap_dead = 0
-        if not self.jobs and self._hist:
-            self._hist_base += len(self._hist)
-            self._hist.clear()
-            self._compact_at = _HIST_COMPACT
+        if not self.jobs:
+            # Idle: every heap entry is dead, and each dead copy points
+            # back at this server through ``copy.server``.
+            self._heap.clear()
+            self._heap_dead = 0
+            if self._hist:
+                self._hist_base += len(self._hist)
+                self._hist.clear()
+                self._compact_at = _HIST_COMPACT
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ReplicaServer({self.host}/{self.domid}, "
@@ -1235,6 +1245,7 @@ class FrontDoor:
                     bound = now_ms
                 server.hint_seq = token = server.hint_seq + 1
                 heappush(dep, (bound, next_seq(), token, False, server))
+        request.copies.clear()
         if request.timeout_event is not None:
             request.timeout_event.cancel()
             request.timeout_event = None
@@ -1277,6 +1288,7 @@ class FrontDoor:
             run.copies_timed_out += 1
             if res is not None:
                 self._breaker_failure(res, server.key, now)
+        request.copies.clear()
         if res is not None and self._retry(request, run, res, now):
             return
         request.resolved = True
@@ -1287,6 +1299,7 @@ class FrontDoor:
         """The attempt has no copy left: retry if granted, else fail."""
         if request.resolved:
             return
+        request.copies.clear()
         res = self._active_res
         if res is None or not self._retry(request, run, res,
                                           self.fleet.clock.now):
@@ -1314,7 +1327,8 @@ class FrontDoor:
         now = self.fleet.clock.now
         for pool in self._pools.values():
             for server in pool.values():
-                self._lose_jobs(server, now)
+                for copy in self._lose_jobs(server, now):
+                    copy.request.copies.clear()
         self.engine.clear()
         run.failed = run.admitted - run.completed - run.timed_out
 

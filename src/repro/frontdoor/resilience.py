@@ -38,6 +38,7 @@ checked by :func:`repro.fleet.chaos.audit_frontdoor`.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, fields
 from typing import Any
@@ -115,6 +116,10 @@ class ResiliencePolicy:
     route_around_draining: bool = True
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise FrontDoorError(f"{f.name} must be finite: {value}")
         if self.admission_rate_rps is not None and self.admission_rate_rps <= 0:
             raise FrontDoorError(
                 f"non-positive admission rate: {self.admission_rate_rps}")

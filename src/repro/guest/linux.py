@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from typing import TYPE_CHECKING
 
+from repro.errors import InvalidArgumentError
 from repro.sim import CostModel, VirtualClock
 from repro.sim.units import MIB, pages_of
 
@@ -84,7 +85,8 @@ class LinuxVM:
 
     def __init__(self, vm: "UnikernelVM") -> None:
         if vm.image.flavor != "linux":
-            raise ValueError(f"LinuxVM needs a linux image, got {vm.image.flavor}")
+            raise InvalidArgumentError(
+                f"LinuxVM needs a linux image, got {vm.image.flavor}")
         self.vm = vm
         self.processes: list[LinuxProcess] = []
 

@@ -170,6 +170,12 @@ class UnikernelVM:
         if self.app is not None:
             self.app.on_cloned(self.api, child_index)
 
+    def teardown(self) -> None:
+        """Domain destroyed: drop the API handle and the socket
+        handlers, whose closures hold the API (and so this guest)."""
+        self._api = None
+        self.udp_handlers = {}
+
     def on_resumed_after_restore(self) -> None:
         """Post-restore continuation (xl restore resumed us)."""
         if self.app is not None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable
 
+from repro.errors import InvalidArgumentError
 from repro.idc.channel import IdcChannel
 from repro.idc.shm import IdcSharedArea
 from repro.xen.domain import Domain
@@ -29,7 +30,7 @@ class IdcSemaphore:
     def __init__(self, hypervisor: Hypervisor, owner: Domain,
                  initial: int = 1) -> None:
         if initial < 0:
-            raise ValueError(f"negative initial count: {initial}")
+            raise InvalidArgumentError(f"negative initial count: {initial}")
         self.hypervisor = hypervisor
         self.area = IdcSharedArea(hypervisor, owner, 1, label="semaphore")
         self.channel = IdcChannel(hypervisor, owner)
@@ -67,7 +68,8 @@ class IdcBarrier:
     def __init__(self, hypervisor: Hypervisor, owner: Domain,
                  parties: int) -> None:
         if parties < 1:
-            raise ValueError(f"barrier needs at least one party: {parties}")
+            raise InvalidArgumentError(
+                f"barrier needs at least one party: {parties}")
         self.hypervisor = hypervisor
         self.area = IdcSharedArea(hypervisor, owner, 1, label="barrier")
         self.channel = IdcChannel(hypervisor, owner)

@@ -240,3 +240,4 @@ class KvmCloneOp:
             parent.children.remove(child.pid)
         host.unregister(child.pid)
         child.state = VmState.DEAD
+        child.teardown()

@@ -30,7 +30,7 @@ class VirtioNet:
     _tap_ids = itertools.count()
 
     def __init__(self, vm: "KvmVm", mac: str, ip: str) -> None:
-        self.vm = vm
+        self.host = vm.host
         self.mac = mac
         self.ip = ip
         self.tap_name = f"tap{next(VirtioNet._tap_ids)}"
@@ -50,12 +50,18 @@ class VirtioNet:
         """Guest TX through vhost into the host fabric."""
         if self.switch is None:
             raise RuntimeError(f"{self.tap_name} has no switch attached")
-        self.vm.host.clock.charge(self.vm.host.costs.net_tx_packet)
+        self.host.clock.charge(self.host.costs.net_tx_packet)
         self.switch.forward(packet, ingress=self.port)
 
     def _to_guest(self, packet: Packet) -> None:
         if self.rx_handler is not None:
             self.rx_handler(packet)
+
+    def release(self) -> None:
+        """The VMM is gone: unplug the tap's port (its callbacks are
+        this device's bound methods) and drop the guest's RX hook."""
+        self.port.unplug()
+        self.rx_handler = None
 
     def clone_for(self, child: "KvmVm") -> "VirtioNet":
         """Clone-side device: fresh tap (kvmcloned creates it), queue
@@ -78,7 +84,7 @@ class Virtio9p:
     """virtio-9p: the fid table lives in the VMM process."""
 
     def __init__(self, vm: "KvmVm", export_root: str, hostfs: HostFS) -> None:
-        self.vm = vm
+        self.host = vm.host
         self.export_root = export_root
         self.hostfs = hostfs
         self.fids: dict[int, VirtioFid] = {}
@@ -88,9 +94,9 @@ class Virtio9p:
         vm.p9 = self
 
     def _charge(self, nbytes: int = 0) -> None:
-        costs = self.vm.host.costs
-        self.vm.host.clock.charge(costs.p9_request_base
-                                  + costs.p9_write_per_byte * nbytes)
+        costs = self.host.costs
+        self.host.clock.charge(costs.p9_request_base
+                               + costs.p9_write_per_byte * nbytes)
 
     def open(self, path: str, mode: str = "rw", create: bool = False) -> int:
         """Open a file on the export; returns a fid."""

@@ -131,6 +131,17 @@ class KvmVm:
                 parent.children.remove(self.pid)
         self.state = VmState.DEAD
         self.host.unregister(self.pid)
+        self.teardown()
+
+    def teardown(self) -> None:
+        """Drop the links that tie a dead VM into reference cycles: the
+        tap's RX hook and port callbacks, the API handle, and the socket
+        handlers whose closures hold the API. The VM is then freed by
+        reference count once nothing outside holds it."""
+        if self.net is not None:
+            self.net.release()
+        self._api = None
+        self.udp_handlers = {}
 
     def machine_pages(self) -> int:
         """Host frames attributable to this VM (private + EPT + VMM)."""

@@ -34,6 +34,15 @@ class Packet:
         return self.flow.dst_ip
 
 
+def _discard(packet: Packet) -> None:
+    """``deliver`` of an unplugged port."""
+
+
+def _refuse(packet: Packet) -> bool:
+    """``accepts`` of an unplugged port."""
+    return False
+
+
 class Port:
     """A switch port: anything with a ``deliver(packet)`` method and a MAC.
 
@@ -56,6 +65,15 @@ class Port:
         #: Switches this port is attached to that cache acceptance
         #: decisions (maintained by their attach/detach).
         self.switches: list = []
+
+    def unplug(self) -> None:
+        """The endpoint is gone: deliver and accept nothing.
+
+        Also releases the endpoint's callbacks — usually its own bound
+        methods, which would otherwise tie it and this port in a cycle.
+        """
+        self.deliver = _discard
+        self.accepts = _refuse
 
     def touch(self) -> None:
         """Signal that this port's ``accepts`` inputs changed (a socket

@@ -13,6 +13,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Any, Iterable
 
+from repro.errors import InvalidArgumentError
+
 
 class Counter:
     """A monotonically increasing named tally."""
@@ -26,7 +28,8 @@ class Counter:
     def add(self, n: int = 1) -> None:
         """Increment by ``n`` (must be non-negative)."""
         if n < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease by {n}")
+            raise InvalidArgumentError(
+                f"counter {self.name!r} cannot decrease by {n}")
         self.value += n
 
     def to_dict(self) -> dict[str, Any]:
@@ -60,7 +63,8 @@ class Histogram:
         self.name = name
         self.bounds = tuple(bounds)
         if not self.bounds:
-            raise ValueError(f"histogram {self.name!r} needs >= 1 bucket bound")
+            raise InvalidArgumentError(
+                f"histogram {self.name!r} needs >= 1 bucket bound")
         self.buckets = [0] * (len(self.bounds) + 1)
         self.count = 0
         self.total = 0.0
@@ -91,7 +95,7 @@ class Histogram:
         observation (the exact max for the open-ended last bucket).
         """
         if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile out of range: {q}")
+            raise InvalidArgumentError(f"quantile out of range: {q}")
         if self.count == 0:
             return 0.0
         target = q * self.count

@@ -13,6 +13,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from repro.errors import InvalidArgumentError
+
 
 @dataclass(slots=True)
 class Span:
@@ -79,7 +81,8 @@ class SpanRing:
 
     def __init__(self, capacity: int = 16384) -> None:
         if capacity <= 0:
-            raise ValueError(f"non-positive span ring capacity: {capacity}")
+            raise InvalidArgumentError(
+                f"non-positive span ring capacity: {capacity}")
         self.capacity = capacity
         self._spans: deque[Span] = deque(maxlen=capacity)
         self.pushed = 0

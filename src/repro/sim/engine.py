@@ -12,6 +12,7 @@ import heapq
 import itertools
 from typing import Callable
 
+from repro.errors import InvalidArgumentError
 from repro.obs.tracer import NULL_TRACER
 from repro.sim.clock import VirtualClock
 
@@ -37,10 +38,15 @@ class ScheduledEvent:
         self._enqueued = False
 
     def cancel(self) -> None:
-        """Prevent this event (and, for periodic series, reoccurrence)."""
+        """Prevent this event (and, for periodic series, reoccurrence).
+
+        The callback is dropped with it: a series' callback closes over
+        its own handle, and a one-shot's over whatever it was to act on.
+        """
         if self.cancelled:
             return
         self.cancelled = True
+        self.callback = None
         engine = self._engine
         if engine is not None and self._enqueued:
             engine._note_cancelled()
@@ -74,7 +80,8 @@ class Engine:
     def schedule_at(self, t_ms: float, callback: EventCallback) -> ScheduledEvent:
         """Schedule ``callback`` at absolute virtual time ``t_ms``."""
         if t_ms < self.clock.now:
-            raise ValueError(f"cannot schedule in the past: {t_ms} < {self.clock.now}")
+            raise InvalidArgumentError(
+                f"cannot schedule in the past: {t_ms} < {self.clock.now}")
         event = ScheduledEvent(t_ms, callback)
         event._engine = self
         event._enqueued = True
@@ -84,7 +91,7 @@ class Engine:
     def schedule_after(self, delay_ms: float, callback: EventCallback) -> ScheduledEvent:
         """Schedule ``callback`` after ``delay_ms`` from now."""
         if delay_ms < 0:
-            raise ValueError(f"negative delay: {delay_ms}")
+            raise InvalidArgumentError(f"negative delay: {delay_ms}")
         return self.schedule_at(self.clock.now + delay_ms, callback)
 
     def every(self, interval_ms: float, callback: EventCallback,
@@ -95,7 +102,7 @@ class Engine:
         the whole series.
         """
         if interval_ms <= 0:
-            raise ValueError(f"non-positive interval: {interval_ms}")
+            raise InvalidArgumentError(f"non-positive interval: {interval_ms}")
         start = self.clock.now + interval_ms if first_at is None else first_at
         series = ScheduledEvent(start, callback)
         series._engine = self
@@ -129,6 +136,7 @@ class Engine:
         for entry in self._queue:
             event = entry[2]
             event.cancelled = True
+            event.callback = None
             event._enqueued = False
         self._queue.clear()
         self._cancelled = 0

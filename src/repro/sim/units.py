@@ -4,6 +4,8 @@ Time is expressed in milliseconds because that is the unit the paper's
 figures use. Memory is expressed in bytes, with x86 4 KiB pages.
 """
 
+from repro.errors import InvalidArgumentError
+
 # --- time (base unit: millisecond) ---
 USEC: float = 1e-3
 MSEC: float = 1.0
@@ -21,5 +23,5 @@ PAGE_SIZE: int = 1 << PAGE_SHIFT  # 4096
 def pages_of(nbytes: int) -> int:
     """Number of 4 KiB pages needed to hold ``nbytes`` (rounded up)."""
     if nbytes < 0:
-        raise ValueError(f"negative byte count: {nbytes}")
+        raise InvalidArgumentError(f"negative byte count: {nbytes}")
     return (nbytes + PAGE_SIZE - 1) >> PAGE_SHIFT

@@ -142,3 +142,21 @@ class Domain:
         """Does the clone budget allow ``count`` more children?"""
         return (self.cloning_enabled
                 and self.clones_created + count <= self.max_clones)
+
+    # ------------------------------------------------------------------
+    # teardown
+    # ------------------------------------------------------------------
+    def teardown(self) -> None:
+        """Detach the guest and device frontends of a destroyed domain.
+
+        The guest, its frontends and their rings all point back at this
+        domain; dropping the domain's side of those links (and the
+        guest's own self-references) leaves no reference cycle, so the
+        whole guest is freed by reference count once nothing outside
+        holds it.
+        """
+        guest = self.guest
+        if guest is not None:
+            self.guest = None
+            guest.teardown()
+        self.frontends.clear()

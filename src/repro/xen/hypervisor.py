@@ -243,6 +243,7 @@ class Hypervisor:
         del self.domains[domid]
         self.guest_count -= 1
         _TOPOLOGY_EPOCH[0] += 1
+        domain.teardown()
 
     def pause_domain(self, domid: int) -> None:
         """Stop scheduling the domain's vCPUs."""

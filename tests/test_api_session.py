@@ -3,7 +3,18 @@
 import pytest
 
 from repro import NepheleSession, ReproError, SessionError
+from repro.apps.nginx import NginxCloneCluster, NginxProcessCluster
 from repro.apps.udp_server import UdpServerApp
+from repro.core.notify_ring import CloneNotificationRing
+from repro.errors import InvalidArgumentError
+from repro.guest.linux import LinuxVM
+from repro.idc.sync import IdcBarrier, IdcSemaphore
+from repro.obs.registry import Counter, Histogram
+from repro.obs.span import SpanRing
+from repro.sim.engine import Engine
+from repro.sim.units import pages_of
+
+from tests.conftest import udp_config
 
 
 @pytest.fixture
@@ -188,6 +199,51 @@ def test_every_layer_error_is_a_repro_error():
                        PipeClosedError, RingFullError, SessionError,
                        ToolstackError, XenError, XenstoreError):
         assert issubclass(error_type, ReproError), error_type
+
+
+def _guest(platform):
+    return platform.xl.create(udp_config("uk"), app=UdpServerApp())
+
+
+def _engine_at_5ms() -> Engine:
+    engine = Engine()
+    engine.clock.charge(5.0)
+    return engine
+
+
+#: One call per ``InvalidArgumentError`` site in ``src/``.
+BAD_ARGUMENT_CALLS = {
+    "span-ring": lambda platform: SpanRing(0),
+    "counter-decrease": lambda platform: Counter("c").add(-1),
+    "histogram-no-bounds": lambda platform: Histogram("h", bounds=()),
+    "histogram-quantile": lambda platform: Histogram(
+        "h", bounds=(1.0,)).quantile(1.5),
+    "pages-of-negative": lambda platform: pages_of(-1),
+    "schedule-in-past": lambda platform: _engine_at_5ms().schedule_at(
+        1.0, lambda: None),
+    "negative-delay": lambda platform: Engine().schedule_after(
+        -1.0, lambda: None),
+    "zero-interval": lambda platform: Engine().every(0.0, lambda: None),
+    "semaphore-initial": lambda platform: IdcSemaphore(
+        platform.hypervisor, _guest(platform), initial=-1),
+    "barrier-parties": lambda platform: IdcBarrier(
+        platform.hypervisor, _guest(platform), parties=0),
+    "nginx-clone-workers": lambda platform: NginxCloneCluster(platform, 0),
+    "nginx-clone-too-many-workers": lambda platform: NginxCloneCluster(
+        platform, 2 * platform.hypervisor.cpus + 1),
+    "nginx-process-workers": lambda platform: NginxProcessCluster(
+        platform.clock, platform.costs, 0),
+    "linux-vm-image": lambda platform: LinuxVM(_guest(platform).guest),
+    "notify-ring-capacity": lambda platform: CloneNotificationRing(0),
+}
+
+
+@pytest.mark.parametrize("site", sorted(BAD_ARGUMENT_CALLS))
+def test_bad_argument_is_a_typed_repro_error(platform, site):
+    with pytest.raises(ReproError) as excinfo:
+        BAD_ARGUMENT_CALLS[site](platform)
+    assert isinstance(excinfo.value, InvalidArgumentError)
+    assert isinstance(excinfo.value, ValueError)
 
 
 def test_session_error_catchable_as_repro_error(session):

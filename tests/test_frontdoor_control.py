@@ -229,3 +229,50 @@ def test_session_merged_stats(populated):
     stats = populated.stats
     assert stats["frontdoor"]["requests"] == 10
     assert "fleet" in stats
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("method,path,body,named", [
+    ("POST", "/families/web/clone", {"count": "three"}, "'count'"),
+    ("POST", "/families/web/clone", {"count": True}, "'count'"),
+    ("POST", "/families/web/clone", {"count": 1.5}, "'count'"),
+    ("POST", "/families", {"name": "b"}, "'ip'"),
+    ("POST", "/families", {"name": 5, "ip": "10.6.2.1"}, "'name'"),
+    ("POST", "/families", {"name": "b", "ip": "10.6.2.1",
+                           "memory_mb": "4"}, "'memory_mb'"),
+    ("POST", "/families", [1, 2], "body"),
+    ("POST", "/dispatch", [1, 2], "body"),
+    ("POST", "/dispatch", {"family": "web", "requests": "x"}, "'requests'"),
+    ("POST", "/dispatch", {"family": "web", "clone_factor": 1.5},
+     "'clone_factor'"),
+    ("POST", "/dispatch", {"family": "web", "timeout_ms": "5"},
+     "'timeout_ms'"),
+    ("POST", "/dispatch", {"family": "web", "arrival_rps": True},
+     "'arrival_rps'"),
+    ("POST", "/dispatch", {"family": "web", "arrival_rps": 10 ** 400},
+     "'arrival_rps'"),
+    ("POST", "/dispatch", {"family": "web", "arrival_rps": NAN},
+     "arrival rate"),
+    ("POST", "/dispatch", {"family": "web", "workload": ["faas"]},
+     "'workload'"),
+    ("POST", "/dispatch", {"family": "web", "workload": "nope"}, "workload"),
+    ("POST", "/dispatch", {"family": "web", "label": 5}, "'label'"),
+    ("POST", "/dispatch", {"family": "web", "resilience": {"bogus": 1}},
+     "bogus"),
+    ("POST", "/dispatch", {"family": "web", "resilience": "x"},
+     "'resilience'"),
+    ("POST", "/dispatch", {"family": "web",
+                           "resilience": {"max_attempts": 2.5}},
+     "'max_attempts'"),
+    ("POST", "/dispatch", {"family": "web",
+                           "resilience": {"deadline_ms": NAN}},
+     "deadline_ms"),
+    ("POST", "/hosts/host0/drain", {"mode": 3}, "'mode'"),
+])
+def test_malformed_body_is_a_400_naming_the_field(populated, method, path,
+                                                  body, named):
+    response = populated.handle(method, path, body)
+    assert response.status == 400, response.body
+    assert named in response.body["error"]

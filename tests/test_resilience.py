@@ -5,6 +5,9 @@ policy validation, the control-plane 429 surface, fault-site
 integration, and the pinned overload-storm fingerprint.
 """
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.faults.plan import FaultPlan, FaultSpec
@@ -181,6 +184,17 @@ def test_resilience_state_allows_unknown_replicas():
 def test_policy_validation_rejects_bad_knobs(kwargs):
     with pytest.raises(FrontDoorError):
         ResiliencePolicy(**kwargs)
+
+
+FLOAT_KNOBS = [f.name for f in dataclasses.fields(ResiliencePolicy)
+               if f.type.startswith("float")]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("knob", FLOAT_KNOBS)
+def test_policy_validation_rejects_non_finite_knobs(knob, value):
+    with pytest.raises(FrontDoorError, match=knob):
+        ResiliencePolicy(**{knob: value})
 
 
 def test_policy_to_dict_round_trips():
